@@ -314,7 +314,7 @@ impl Automata<'_> {
 // ---------------------------------------------------------------------
 
 /// The text constraint a relevant rule places on a node, mirroring the
-/// validator exactly (`check_node` / `check_simple_text`).
+/// validator exactly (the sink's frame pop / `check_simple_text`).
 #[derive(Clone, Debug)]
 enum TextSpec {
     /// Any text (mixed or open content, or an unconstrained node).

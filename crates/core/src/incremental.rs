@@ -1,38 +1,34 @@
 //! Incremental revalidation: cost proportional to the edit, not the
 //! document.
 //!
-//! The relevance-product run ([`crate::validate`]) is a deterministic
-//! top-down state machine over the tree: each element's behaviour is a
-//! function of (its ancestor product state, its attributes, its child
-//! names, its text children). A full run therefore leaves behind
-//! exactly the memo needed to replay only what an edit touched. This
-//! module captures that memo as a [`ValidationState`] — SoA arrays
-//! indexed by arena [`NodeId`], mirroring the streaming validator's
-//! `HotFrame` fields (ancestor product state, content-DFA exit state,
-//! per-pass violations) — and replays [`xmltree::Edit`]s against it
-//! with [`CompiledBxsd::revalidate`].
+//! Validation ([`crate::validate`]) is a deterministic top-down walk
+//! over the tree. Each element's *pass* — its frame push and pop in the
+//! validator's sink, with the parent steps of its children in between —
+//! derives the relevant rule from the element's ancestor product state,
+//! steps the content DFA over its children's names (poisoning every
+//! sibling after the first unknown name to the dead state), checks its
+//! text and attributes, computes each child's ancestor state, and emits
+//! the element's violations. A full run therefore leaves behind exactly
+//! the memo needed to replay only what an edit touched. This module
+//! keeps that memo as a [`ValidationState`] — SoA arrays indexed by arena
+//! [`NodeId`]: each element's ancestor product state and the violations
+//! its pass emitted — fills it through the sink's memo hook, and replays
+//! [`xmltree::Edit`]s against it with [`CompiledBxsd::revalidate`].
 //!
 //! ## The dirty-propagation rule
 //!
-//! One *pass* is the per-element unit of work of `run_product`: given
-//! the element's ancestor product state, it derives the relevant rule,
-//! walks the children once (content-DFA stepping, unknown-name
-//! detection with sibling dead-state poisoning, text detection, child
-//! ancestor states), and emits the element's violations. A pass reads
-//! nothing outside its element and the *names* of its children, so its
-//! output can only change if
+//! A pass reads nothing outside its element and the *names* of its
+//! children, so its output can only change if
 //!
 //! 1. its own ancestor product state changed, or
 //! 2. its attributes, text children, or child list changed — exactly
 //!    what the mutation API logs as [`xmltree::Edit::Dirty`].
 //!
-//! Revalidation therefore re-runs the pass of every logged dirty node,
-//! and from there recurses *downward* only into children whose
-//! recomputed ancestor product state differs from the stored one (this
-//! subsumes the content-DFA-exit early-stop: a child whose state is
-//! unchanged has an unchanged subtree report, so if additionally the
-//! parent's recomputed exit state matches, nothing below or beside it
-//! is revisited).
+//! Revalidation therefore replays every logged dirty node from its
+//! stored ancestor state, and the memo hook lets the replay descend only
+//! into children whose recomputed ancestor product state differs from
+//! the stored one: a child whose state is unchanged has an unchanged
+//! subtree report.
 //!
 //! ## Why no ancestor walk-up is needed
 //!
@@ -42,10 +38,7 @@
 //! which logs `Dirty(parent)` — and every mutation already logs the
 //! element whose child list or content it touches. So the logged dirty
 //! set is upward-closed by construction: no edit can change the pass
-//! of a strict ancestor of its logged node, and the upward walk
-//! terminates immediately. (The stored exit states make this checkable:
-//! a debug assertion could recompute any ancestor's exit state and find
-//! it unchanged.)
+//! of a strict ancestor of its logged node.
 //!
 //! ## Report identity
 //!
@@ -66,22 +59,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use relang::ops::RelevanceProduct;
-use relang::Sym;
+use relang::ops::ProductState;
 use xmltree::{Document, Edit, NodeId};
-use xsd::violation::{Violation, ViolationKind};
+use xsd::violation::Violation;
 
-use crate::validate::{BxsdReport, CompiledBxsd, ContentEval};
+use crate::validate::{BxsdReport, CompiledBxsd, Memo, ProductEngine, StreamSink};
 
 /// Sentinel for "no ancestor product state stored" (text node, detached
 /// node, or never visited). Real product states are bounded by the
 /// compile budget, far below this.
 const NOT_COMPUTED: u32 = u32::MAX;
-
-/// Sentinel exit state: the node's content model is not evaluated by an
-/// inline DFA (no relevant rule, simple content, buffered fallback), or
-/// the DFA died before the end of the child word.
-const NO_EXIT: u32 = u32::MAX;
 
 /// Persistent per-document validation memo, produced by
 /// [`CompiledBxsd::validate_persistent`] and updated in place by
@@ -93,9 +80,6 @@ pub struct ValidationState {
     generation: u64,
     /// Per node: ancestor product state, or [`NOT_COMPUTED`].
     anc: Vec<u32>,
-    /// Per node: content-DFA exit state after the child word, or
-    /// [`NO_EXIT`].
-    exit: Vec<u32>,
     /// Per node: the violations its *pass* emitted (for the node itself
     /// and `NoGoverningDefinition` for an unknown-named child).
     viols: Vec<Vec<Violation>>,
@@ -158,7 +142,6 @@ impl ValidationState {
     fn cover(&mut self, n: usize) {
         if self.anc.len() < n {
             self.anc.resize(n, NOT_COMPUTED);
-            self.exit.resize(n, NO_EXIT);
             self.viols.resize(n, Vec::new());
         }
     }
@@ -168,11 +151,48 @@ impl ValidationState {
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             self.anc[n.0] = NOT_COMPUTED;
-            self.exit[n.0] = NO_EXIT;
             self.viols[n.0].clear();
             self.has_viols.remove(&n);
             stack.extend_from_slice(doc.children(n));
         }
+    }
+}
+
+/// The validator sink's memo hook for one `validate_persistent` or
+/// `revalidate` call: it stores each element's ancestor state as the
+/// walk reaches it, prunes the walk at children whose stored state is
+/// unchanged, and files violations under their generating pass.
+struct PassMemo<'s> {
+    state: &'s mut ValidationState,
+    /// Elements whose pass ran in this call, so a dirty node inside an
+    /// already replayed subtree is not replayed twice.
+    visited: HashSet<NodeId>,
+}
+
+impl<'s> PassMemo<'s> {
+    fn new(state: &'s mut ValidationState) -> Self {
+        PassMemo {
+            state,
+            visited: HashSet::new(),
+        }
+    }
+}
+
+impl Memo<ProductState> for PassMemo<'_> {
+    fn descend(&mut self, node: NodeId, q: &ProductState) -> bool {
+        std::mem::replace(&mut self.state.anc[node.0], *q) != *q
+    }
+
+    fn begin(&mut self, node: NodeId) {
+        self.visited.insert(node);
+        self.state.passes += 1;
+        self.state.viols[node.0].clear();
+        self.state.has_viols.remove(&node);
+    }
+
+    fn out<'a>(&'a mut self, pass: NodeId, _: &'a mut Vec<Violation>) -> &'a mut Vec<Violation> {
+        self.state.has_viols.insert(pass);
+        &mut self.state.viols[pass.0]
     }
 }
 
@@ -222,9 +242,8 @@ impl CompiledBxsd<'_> {
         }
         let p = self
             .relevance
-            .as_ref()
-            .expect("incremental state implies a relevance product")
-            .clone();
+            .as_deref()
+            .expect("incremental state implies a relevance product");
 
         // Detached subtrees first: their memo is stale, and a Dirty
         // entry pointing into one must be recognized as unreachable.
@@ -243,14 +262,17 @@ impl CompiledBxsd<'_> {
                 _ => None,
             })
             .collect();
-        let syms = self.resolve_names(doc);
-        let mut visited = HashSet::new();
+        let eng = ProductEngine(p);
+        let mut unused = BxsdReport::empty();
+        let mut sink = StreamSink::new(self, &eng, false, &mut unused, PassMemo::new(state));
+        sink.resolve_names(doc);
         for &n in &dirty {
-            if visited.contains(&n) || !is_attached(doc, n) {
+            if sink.memo.visited.contains(&n) || !is_attached(doc, n) {
                 continue;
             }
-            debug_assert_ne!(state.anc[n.0], NOT_COMPUTED, "attached ⇒ memoized");
-            self.run_passes(&p, doc, &syms, state, n, &mut visited);
+            let q = sink.memo.state.anc[n.0];
+            debug_assert_ne!(q, NOT_COMPUTED, "attached ⇒ memoized");
+            sink.replay(doc, n, q);
         }
         state.generation = doc.generation();
         state.report()
@@ -259,14 +281,13 @@ impl CompiledBxsd<'_> {
     /// Full traversal from the root, rebuilding `state` from scratch.
     fn full_run(&self, doc: &Document, state: &mut ValidationState) {
         state.anc.clear();
-        state.exit.clear();
         state.viols.clear();
         state.has_viols.clear();
         state.root_rejected = false;
         state.fallback = None;
         state.generation = doc.generation();
         state.passes = 0;
-        let Some(p) = self.relevance.clone() else {
+        let Some(p) = self.relevance.as_deref() else {
             // No product ⇒ nothing to memoize; degrade to a stored
             // fresh report (recomputed on every revalidation).
             state.passes = doc.element_count();
@@ -278,104 +299,11 @@ impl CompiledBxsd<'_> {
             "product states collide with the NOT_COMPUTED sentinel"
         );
         state.cover(doc.len());
-        let root = doc.root();
-        let root_name = doc.name(root).expect("root is an element");
-        let root_sym = self.bxsd.ename.lookup(root_name);
-        let Some(root_sym) = root_sym.filter(|s| self.bxsd.start.contains(s)) else {
-            state.root_rejected = true;
-            state.viols[root.0] = vec![Violation {
-                node: root,
-                kind: ViolationKind::RootNotAllowed(root_name.to_owned()),
-            }];
-            state.has_viols.insert(root);
-            return;
-        };
-        state.anc[root.0] = p.step(p.initial(), root_sym);
-        let syms = self.resolve_names(doc);
-        let mut visited = HashSet::new();
-        self.run_passes(&p, doc, &syms, state, root, &mut visited);
-    }
-
-    /// Re-runs the pass of `start` (whose `state.anc` entry must be
-    /// current) and recurses into exactly those children whose
-    /// recomputed ancestor product state differs from the memo. On a
-    /// fresh state every stored child state is [`NOT_COMPUTED`], so the
-    /// same loop performs the full traversal.
-    fn run_passes(
-        &self,
-        p: &RelevanceProduct,
-        doc: &Document,
-        syms: &[Option<Sym>],
-        state: &mut ValidationState,
-        start: NodeId,
-        visited: &mut HashSet<NodeId>,
-    ) {
-        let mut word: Vec<Sym> = Vec::new();
-        let mut stack = vec![start];
-        while let Some(node) = stack.pop() {
-            visited.insert(node);
-            state.passes += 1;
-            let q = state.anc[node.0];
-            let relevant = p.relevant(q).map(|i| i as usize);
-            // The fused child pass of `run_product`, with child states
-            // diffed against the memo instead of pushed unconditionally.
-            let mut content = self.content_eval(relevant, &mut word);
-            let mut count = 0usize;
-            let mut unknown_at = None;
-            let mut has_text = false;
-            let mut viols = std::mem::take(&mut state.viols[node.0]);
-            viols.clear();
-            for &child in doc.children(node) {
-                let Some(nid) = doc.name_id(child) else {
-                    has_text = has_text
-                        || doc
-                            .text(child)
-                            .is_some_and(|t| !t.chars().all(char::is_whitespace));
-                    continue;
-                };
-                let child_q = if unknown_at.is_some() {
-                    // Sibling dead-state poisoning: children after the
-                    // first unknown name are dead and report nothing.
-                    p.dead()
-                } else {
-                    match syms[nid as usize] {
-                        Some(sym) => {
-                            content.step(sym, count, &mut word);
-                            count += 1;
-                            p.step(q, sym)
-                        }
-                        None => {
-                            viols.push(Violation {
-                                node: child,
-                                kind: ViolationKind::NoGoverningDefinition(
-                                    doc.name(child).expect("element").to_owned(),
-                                ),
-                            });
-                            unknown_at = Some(count);
-                            p.dead()
-                        }
-                    }
-                };
-                if state.anc[child.0] != child_q {
-                    state.anc[child.0] = child_q;
-                    stack.push(child);
-                }
-            }
-            state.exit[node.0] = match &content {
-                ContentEval::Dfa {
-                    q, failed: None, ..
-                } => *q as u32,
-                _ => NO_EXIT,
-            };
-            let failed_at = unknown_at.or_else(|| content.finish(count, &word));
-            self.check_node(doc, node, relevant, failed_at, has_text, &mut viols);
-            if viols.is_empty() {
-                state.has_viols.remove(&node);
-            } else {
-                state.has_viols.insert(node);
-            }
-            state.viols[node.0] = viols;
-        }
+        let eng = ProductEngine(p);
+        let mut unused = BxsdReport::empty();
+        let mut sink = StreamSink::new(self, &eng, false, &mut unused, PassMemo::new(state));
+        sink.replay_document(doc);
+        sink.memo.state.root_rejected = sink.root_rejected;
     }
 }
 
@@ -395,6 +323,7 @@ mod tests {
     use crate::bxsd::BxsdBuilder;
     use relang::Regex;
     use xmltree::builder::elem;
+    use xsd::violation::ViolationKind;
     use xsd::{AttributeUse, ContentModel};
 
     /// The Figure-5-style schema of the validate tests.

@@ -40,6 +40,13 @@ use crate::validate::{BxsdReport, NodeMatch};
 /// instead of materializing a fifty-thousand-position automaton.
 const UNROLL_BUDGET: usize = 50_000;
 
+/// The XML `S` production (#x20 | #x9 | #xD | #xA), written out here
+/// rather than imported: the only characters element-only content and
+/// the `whiteSpace` facet treat as whitespace.
+fn is_s(c: char) -> bool {
+    matches!(c, ' ' | '\t' | '\r' | '\n')
+}
+
 /// Validates `doc` against `bxsd` with the reference interpreter.
 /// Produces the same report as [`crate::validate::validate`].
 pub fn validate(bxsd: &Bxsd, doc: &Document) -> BxsdReport {
@@ -139,11 +146,8 @@ impl Walker<'_> {
         for &child in self.doc.children(node) {
             match self.doc.name(child) {
                 None => {
-                    has_text = has_text
-                        || self
-                            .doc
-                            .text(child)
-                            .is_some_and(|t| !t.chars().all(char::is_whitespace));
+                    has_text =
+                        has_text || self.doc.text(child).is_some_and(|t| !t.chars().all(is_s));
                 }
                 Some(child_name) => {
                     if unknown_at.is_some() {
@@ -237,7 +241,7 @@ impl Walker<'_> {
             .iter()
             .filter_map(|&c| self.doc.text(c))
             .collect();
-        let value = text.trim();
+        let value = text.trim_matches(is_s);
         if !st.validates(value) || !model.simple_facets.validates(st, value) {
             let expected = if model.simple_facets.is_empty() {
                 st.qname().to_owned()

@@ -2,41 +2,51 @@
 //! with matched-rule reporting (the tool feature from \[19\]: "validate XML
 //! against them and highlights matching rules").
 //!
-//! ## The hot path
+//! ## One walk
 //!
-//! Definition 1 needs, per node, the set of rules whose ancestor pattern
-//! matches `anc-str(v)` and the last ("relevant") one. Two evaluation
-//! strategies are implemented:
+//! Definition 1 needs one top-down pass over ancestor strings: per
+//! element, the rules whose ancestor pattern matches `anc-str(v)` and the
+//! last ("relevant") one, which then constrains the element's children,
+//! text, and attributes. `StreamSink` is the only code that does this. It
+//! keeps one frame per *open* element and takes four steps: a parent step
+//! (the child's ancestor state and the parent's content-model step), a
+//! frame push (the child's attributes), text, and a frame pop (the
+//! element's violations). Three walks feed it:
+//!
+//! * [`CompiledBxsd::validate_stream`]: [`XmlReader::drive`] pushes the
+//!   reader's events, numbering nodes in event order — the order in which
+//!   the tree parser allocates arena nodes — in O(depth) memory;
+//! * [`CompiledBxsd::validate_with`]: an iterative replay of the arena,
+//!   numbering nodes by their arena [`NodeId`]s, which an edited arena
+//!   does not keep in document order;
+//! * incremental revalidation ([`crate::incremental`]): the same replay
+//!   with a memo hook that stores each element's ancestor state, prunes
+//!   the walk, and files violations under the pass that produced them.
+//!
+//! Every walk ends with a stable sort of violations by node, and
+//! within a node the sink always reports text, attributes, then content,
+//! so the reports agree byte for byte (`tests/stream_equivalence.rs`,
+//! `tests/incremental_equivalence.rs`).
+//!
+//! ## Ancestor engines
+//!
+//! The sink is generic over the ancestor-state engine:
 //!
 //! * **Product** (the default): a [`RelevanceProduct`] — the reachable
 //!   synchronized product of all N ancestor DFAs, each state annotated
-//!   with its matching set and relevant rule. Per node this costs a
-//!   *single* transition lookup instead of N, and the tree is walked in
-//!   one pass (child word construction, content checks, and child
-//!   queueing fused). Lemma 7 is the paper-side justification: relevance
-//!   is readable off product states.
-//! * **Lock-step** (the fallback and the reference): all N DFAs advanced
-//!   side by side, `None` = dead. The product is worst-case exponential
-//!   (Theorem 9), so [`CompiledBxsd::with_budget`] bounds its size and
-//!   falls back to lock-step transparently when the bound is exceeded.
+//!   with its matching set and relevant rule. Per element this costs a
+//!   *single* transition lookup instead of N; Lemma 7 is the paper-side
+//!   justification (relevance is readable off product states).
+//! * **Lock-step** (the fallback): all N DFAs advanced side by side,
+//!   `None` = dead. The product is worst-case exponential (Theorem 9), so
+//!   [`CompiledBxsd::with_budget`] bounds its size and validation falls
+//!   back to lock-step transparently when the bound is exceeded.
 //!
-//! Both paths produce byte-identical reports — the equivalence proptest
-//! in `tests/validate_equivalence.rs` pins that down. Per-node
-//! [`NodeMatch`] recording is opt-in via
+//! Both engines produce byte-identical reports — the equivalence proptest
+//! in `tests/validate_equivalence.rs` pins that down, and `core::oracle`
+//! checks every walk and engine independently (`bonxai conform`).
+//! Per-node [`NodeMatch`] recording is opt-in via
 //! [`ValidateOptions::record_matches`]; validation itself never needs it.
-//!
-//! ## Streaming
-//!
-//! Validation is a single top-down pass over ancestor paths (the Section 5
-//! translation machinery evaluates `anc-str(v)` prefix by prefix), so it
-//! needs no tree at all: [`CompiledBxsd::validate_stream`] drives the same
-//! relevance product (or lock-step fallback) directly over the events of
-//! an [`XmlReader`], keeping one frame per *open* element — O(depth)
-//! memory regardless of document size. Reports are byte-identical to the
-//! tree paths because (a) the tree parser is itself a fold over the same
-//! event stream, so node ids coincide by construction, and (b) every path
-//! orders violations canonically (stable-sorted by node, i.e. document
-//! order). `tests/stream_equivalence.rs` pins the equivalence.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -45,7 +55,7 @@ use relang::cache::AutomataCache;
 use relang::ops::{ProductState, RelevanceProduct};
 use relang::{CompiledDre, Dfa, Regex, StateId, Sym};
 use xmltree::stream::{AttrList, ByteSrc, EventSink, TextChunk, TextInterest, XmlReader};
-use xmltree::{Document, NameId, NodeId};
+use xmltree::{is_xml_whitespace, Document, NameId, NodeId};
 use xsd::violation::{Violation, ViolationKind};
 
 use crate::bxsd::Bxsd;
@@ -96,6 +106,13 @@ impl BxsdReport {
     pub fn is_valid(&self) -> bool {
         self.violations.is_empty()
     }
+
+    pub(crate) fn empty() -> Self {
+        BxsdReport {
+            violations: Vec::new(),
+            matches: BTreeMap::new(),
+        }
+    }
 }
 
 /// A BXSD compiled for repeated validation: one DFA per ancestor
@@ -106,14 +123,6 @@ pub struct CompiledBxsd<'a> {
     ancestor_dfas: Vec<Arc<Dfa>>,
     pub(crate) content_matchers: Vec<Arc<CompiledDre>>,
     pub(crate) relevance: Option<Arc<RelevanceProduct>>,
-    /// Per rule: whether its content model declares a required attribute.
-    /// When false and the element carries no attributes at all, the
-    /// attribute check is provably a no-op and is skipped on the hot path.
-    requires_attr: Vec<bool>,
-    /// Per rule: whether significant text under the element is a
-    /// violation (element-only content: not mixed, not open, no simple
-    /// content). Only such frames scan text nodes for non-whitespace.
-    text_sensitive: Vec<bool>,
 }
 
 impl<'a> CompiledBxsd<'a> {
@@ -172,23 +181,11 @@ impl<'a> CompiledBxsd<'a> {
                 }
             }
         };
-        let requires_attr = bxsd
-            .rules
-            .iter()
-            .map(|r| r.content.attributes.iter().any(|a| a.required))
-            .collect();
-        let text_sensitive = bxsd
-            .rules
-            .iter()
-            .map(|r| !r.content.mixed && !r.content.open && r.content.simple_content.is_none())
-            .collect();
         CompiledBxsd {
             bxsd,
             ancestor_dfas,
             content_matchers,
             relevance,
-            requires_attr,
-            text_sensitive,
         }
     }
 
@@ -209,31 +206,19 @@ impl<'a> CompiledBxsd<'a> {
         self.validate_with(doc, ValidateOptions::default())
     }
 
-    /// Validates `doc` with explicit [`ValidateOptions`].
+    /// Validates `doc` with explicit [`ValidateOptions`]: the arena is
+    /// replayed into the same sink the streaming path drives, under the
+    /// relevance product when available and not overridden.
     pub fn validate_with(&self, doc: &Document, opts: ValidateOptions) -> BxsdReport {
-        let mut report = BxsdReport {
-            violations: Vec::new(),
-            matches: BTreeMap::new(),
-        };
-        let root = doc.root();
-        let root_name = doc.name(root).expect("root is an element");
-        let root_sym = self.bxsd.ename.lookup(root_name);
-        let Some(root_sym) = root_sym.filter(|s| self.bxsd.start.contains(s)) else {
-            report.violations.push(Violation {
-                node: root,
-                kind: ViolationKind::RootNotAllowed(root_name.to_owned()),
-            });
-            return report;
-        };
-        // Monomorphize over match recording so the no-recording hot path
-        // carries no per-node recording branches.
-        match (&self.relevance, opts.force_lockstep, opts.record_matches) {
-            (Some(p), false, false) => {
-                self.run_product::<false>(p, doc, root, root_sym, &mut report)
+        let mut report = BxsdReport::empty();
+        let record = opts.record_matches;
+        match (&self.relevance, opts.force_lockstep) {
+            (Some(p), false) => {
+                StreamSink::new(self, &ProductEngine(p), record, &mut report, NoMemo)
+                    .replay_document(doc)
             }
-            (Some(p), false, true) => self.run_product::<true>(p, doc, root, root_sym, &mut report),
-            (_, _, false) => self.run_lockstep::<false>(doc, root, root_sym, &mut report),
-            (_, _, true) => self.run_lockstep::<true>(doc, root, root_sym, &mut report),
+            _ => StreamSink::new(self, &self.lockstep(), record, &mut report, NoMemo)
+                .replay_document(doc),
         }
         report.violations.sort_by_key(|v| v.node);
         report
@@ -265,476 +250,58 @@ impl<'a> CompiledBxsd<'a> {
         reader: &mut XmlReader<S>,
         opts: ValidateOptions,
     ) -> Result<BxsdReport, xmltree::ParseError> {
-        let mut report = BxsdReport {
-            violations: Vec::new(),
-            matches: BTreeMap::new(),
-        };
+        let mut report = BxsdReport::empty();
+        let record = opts.record_matches;
         match (&self.relevance, opts.force_lockstep) {
-            (Some(p), false) => {
-                self.run_stream(reader, &ProductEngine(p), opts.record_matches, &mut report)?
-            }
-            _ => self.run_stream(
-                reader,
-                &LockstepEngine {
-                    dfas: &self.ancestor_dfas,
-                },
-                opts.record_matches,
+            (Some(p), false) => reader.drive(&mut StreamSink::new(
+                self,
+                &ProductEngine(p),
+                record,
                 &mut report,
-            )?,
+                NoMemo,
+            ))?,
+            _ => reader.drive(&mut StreamSink::new(
+                self,
+                &self.lockstep(),
+                record,
+                &mut report,
+                NoMemo,
+            ))?,
         }
         report.violations.sort_by_key(|v| v.node);
         Ok(report)
     }
 
-    /// Product fast path: one relevance transition per node, one pass over
-    /// each node's children with the relevant rule's content DFA stepped
-    /// inline (no second pass over the child word).
-    fn run_product<const RECORD: bool>(
-        &self,
-        p: &RelevanceProduct,
-        doc: &Document,
-        root: NodeId,
-        root_sym: Sym,
-        report: &mut BxsdReport,
-    ) {
-        let syms = self.resolve_names(doc);
-        let mut stack = vec![(root, p.step(p.initial(), root_sym))];
-        let mut word: Vec<Sym> = Vec::new();
-        while let Some((node, q)) = stack.pop() {
-            let relevant = p.relevant(q).map(|i| i as usize);
-            if RECORD {
-                report.matches.insert(
-                    node,
-                    NodeMatch {
-                        matching: p.matching(q).iter().map(|&i| i as usize).collect(),
-                        relevant,
-                    },
-                );
-            }
-
-            // One pass over the children: content-model stepping,
-            // unknown-name detection, text detection, and child queueing.
-            let mut content = self.content_eval(relevant, &mut word);
-            let mut count = 0usize;
-            let mut unknown_at = None;
-            let mut has_text = false;
-            for &child in doc.children(node) {
-                let Some(nid) = doc.name_id(child) else {
-                    has_text = has_text
-                        || doc
-                            .text(child)
-                            .is_some_and(|t| !t.chars().all(char::is_whitespace));
-                    continue;
-                };
-                if unknown_at.is_some() {
-                    stack.push((child, p.dead()));
-                    continue;
-                }
-                match syms[nid as usize] {
-                    Some(sym) => {
-                        content.step(sym, count, &mut word);
-                        count += 1;
-                        stack.push((child, p.step(q, sym)));
-                    }
-                    None => {
-                        report.violations.push(Violation {
-                            node: child,
-                            kind: ViolationKind::NoGoverningDefinition(
-                                doc.name(child).expect("element").to_owned(),
-                            ),
-                        });
-                        unknown_at = Some(count);
-                        stack.push((child, p.dead()));
-                    }
-                }
-            }
-
-            let failed_at = unknown_at.or_else(|| content.finish(count, &word));
-            self.check_node(
-                doc,
-                node,
-                relevant,
-                failed_at,
-                has_text,
-                &mut report.violations,
-            );
-        }
-    }
-
-    /// Lock-step reference path: every ancestor DFA advanced side by
-    /// side (`None` = dead). Also a single pass over each node's
-    /// children; state vectors are pooled to avoid re-allocating one per
-    /// node.
-    fn run_lockstep<const RECORD: bool>(
-        &self,
-        doc: &Document,
-        root: NodeId,
-        root_sym: Sym,
-        report: &mut BxsdReport,
-    ) {
-        let n = self.ancestor_dfas.len();
-        let init: Vec<Option<StateId>> = self
-            .ancestor_dfas
-            .iter()
-            .map(|d| d.transition(d.initial(), root_sym))
-            .collect();
-        let syms = self.resolve_names(doc);
-        let mut stack = vec![(root, init)];
-        let mut pool: Vec<Vec<Option<StateId>>> = Vec::new();
-        let mut word: Vec<Sym> = Vec::new();
-        while let Some((node, states)) = stack.pop() {
-            let is_match = |(i, s): (usize, &Option<StateId>)| {
-                s.is_some_and(|q| self.ancestor_dfas[i].is_final(q))
-                    .then_some(i)
-            };
-            let relevant;
-            if RECORD {
-                let matching: Vec<usize> = states.iter().enumerate().filter_map(is_match).collect();
-                relevant = matching.last().copied();
-                report
-                    .matches
-                    .insert(node, NodeMatch { matching, relevant });
-            } else {
-                // No recording requested: find the last matching rule
-                // without materializing the full set.
-                relevant = states.iter().enumerate().rev().find_map(is_match);
-            }
-
-            let mut content = self.content_eval(relevant, &mut word);
-            let mut count = 0usize;
-            let mut unknown_at = None;
-            let mut has_text = false;
-            for &child in doc.children(node) {
-                let Some(nid) = doc.name_id(child) else {
-                    has_text = has_text
-                        || doc
-                            .text(child)
-                            .is_some_and(|t| !t.chars().all(char::is_whitespace));
-                    continue;
-                };
-                let mut next = pool.pop().unwrap_or_default();
-                next.clear();
-                if unknown_at.is_some() {
-                    next.resize(n, None);
-                    stack.push((child, next));
-                    continue;
-                }
-                match syms[nid as usize] {
-                    Some(sym) => {
-                        content.step(sym, count, &mut word);
-                        count += 1;
-                        next.extend(
-                            states
-                                .iter()
-                                .zip(&self.ancestor_dfas)
-                                .map(|(s, d)| s.and_then(|q| d.transition(q, sym))),
-                        );
-                        stack.push((child, next));
-                    }
-                    None => {
-                        report.violations.push(Violation {
-                            node: child,
-                            kind: ViolationKind::NoGoverningDefinition(
-                                doc.name(child).expect("element").to_owned(),
-                            ),
-                        });
-                        unknown_at = Some(count);
-                        next.resize(n, None);
-                        stack.push((child, next));
-                    }
-                }
-            }
-
-            let failed_at = unknown_at.or_else(|| content.finish(count, &word));
-            self.check_node(
-                doc,
-                node,
-                relevant,
-                failed_at,
-                has_text,
-                &mut report.violations,
-            );
-            pool.push(states);
-        }
-    }
-
-    /// Resolves the document's distinct element names against the schema
-    /// alphabet once, so the per-child hot loop maps a node to its symbol
-    /// with a single array load (`None` = name not in the schema).
-    pub(crate) fn resolve_names(&self, doc: &Document) -> Vec<Option<Sym>> {
-        doc.distinct_names()
-            .iter()
-            .map(|n| self.bxsd.ename.lookup(n))
-            .collect()
-    }
-
-    /// Sets up per-node content-model evaluation for the relevant rule.
-    /// `word` is the caller's scratch buffer, cleared here when the rare
-    /// buffered fallback is selected.
-    #[inline]
-    pub(crate) fn content_eval<'c>(
-        &'c self,
-        relevant: Option<usize>,
-        word: &mut Vec<Sym>,
-    ) -> ContentEval<'c> {
-        let Some(i) = relevant else {
-            return ContentEval::Skip;
-        };
-        let model = &self.bxsd.rules[i].content;
-        if model.simple_content.is_some() {
-            ContentEval::Simple
-        } else if let Some(dfa) = self.content_matchers[i].as_dfa() {
-            ContentEval::Dfa {
-                dfa,
-                q: dfa.initial(),
-                failed: None,
-            }
-        } else {
-            word.clear();
-            ContentEval::Buffered(self.content_matchers[i].as_ref())
-        }
-    }
-
-    /// Per-node text, attribute, and content-model checks, shared verbatim
-    /// by both evaluation paths so their reports cannot drift apart.
-    /// `has_text` (any non-whitespace text child) and `failed_at` (where
-    /// content matching failed) are computed during the fused child pass
-    /// so the children are only traversed once.
-    pub(crate) fn check_node(
-        &self,
-        doc: &Document,
-        node: NodeId,
-        relevant: Option<usize>,
-        failed_at: Option<usize>,
-        has_text: bool,
-        violations: &mut Vec<Violation>,
-    ) {
-        let Some(i) = relevant else {
-            return;
-        };
-        let model = &self.bxsd.rules[i].content;
-        if model.simple_content.is_some() {
-            xsd::violation::check_text(doc, node, model, violations);
-        } else if !model.mixed && !model.open && has_text {
-            violations.push(Violation {
-                node,
-                kind: ViolationKind::UnexpectedText(doc.name(node).expect("element").to_owned()),
-            });
-        }
-        if !doc.attributes(node).is_empty() || self.requires_attr[i] {
-            xsd::violation::check_attributes(doc, node, model, violations);
-        }
-        if let Some(at) = failed_at {
-            violations.push(Violation {
-                node,
-                kind: ViolationKind::ContentModel {
-                    element: doc.name(node).expect("element").to_owned(),
-                    at,
-                },
-            });
-        }
-    }
-
-    /// The streaming counterpart of `run_product`/`run_lockstep`, generic
-    /// over the ancestor-state engine. The reader *pushes* events into a
-    /// [`StreamSink`] via [`XmlReader::drive`] — the fused loop steps the
-    /// sink straight off the structural index for the common
-    /// start/end/text cycle, falling back to token construction for
-    /// anything irregular. Per start the parent frame's content DFA is
-    /// stepped and a child frame is pushed; per end the finished frame is
-    /// checked and popped. Nothing outside the frame stack (plus a
-    /// per-distinct-name symbol cache) is retained, so memory is
-    /// O(depth), not O(document).
-    fn run_stream<S: ByteSrc, E: AncEngine>(
-        &self,
-        reader: &mut XmlReader<S>,
-        eng: &E,
-        record: bool,
-        report: &mut BxsdReport,
-    ) -> Result<(), xmltree::ParseError> {
-        let meta = self
-            .bxsd
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let check_attrs = self.requires_attr[i];
-                if r.content.simple_content.is_some() {
-                    return RuleMeta {
-                        dfa: None,
-                        q0: 0,
-                        flags: F_SIMPLE,
-                        interest: TextInterest::Collect,
-                        check_attrs,
-                    };
-                }
-                let dfa = self.content_matchers[i].as_dfa();
-                let mut flags = if dfa.is_none() { F_BUFFERED } else { 0 };
-                let mut interest = TextInterest::Ignore;
-                if self.text_sensitive[i] {
-                    flags |= F_TRACK_TEXT;
-                    interest = TextInterest::NonWhitespace;
-                }
-                RuleMeta {
-                    dfa,
-                    q0: dfa.map_or(0, |d| d.initial() as u32),
-                    flags,
-                    interest,
-                    check_attrs,
-                }
-            })
-            .collect();
-        let mut sink = StreamSink {
-            cx: self,
-            meta,
-            eng,
-            record,
-            report,
-            stack: Vec::with_capacity(16),
-            words: Vec::new(),
-            texts: Vec::new(),
-            attr_stack: Vec::new(),
-            viol_scratch: Vec::new(),
-            spare_viol: Vec::new(),
-            state_pool: Vec::new(),
-            next_node: 0,
-            root_rejected: false,
-            syms: Vec::new(),
-        };
-        reader.drive(&mut sink)
-    }
-
-    /// [`Self::check_node`] over a finished stream frame instead of a
-    /// tree node: same checks, same order, same violations. Attribute
-    /// violations arrive pre-computed (the start tag checked them off
-    /// the borrowed token) and are spliced in at the position the tree
-    /// path reports them: after the text check, before content. The
-    /// vector is drained, not consumed, so the caller can recycle it.
-    #[allow(clippy::too_many_arguments)]
-    fn check_stream_node(
-        &self,
-        node: NodeId,
-        name: &str,
-        attr_violations: &mut Vec<Violation>,
-        relevant: Option<usize>,
-        failed_at: Option<usize>,
-        has_text: bool,
-        text: Option<&str>,
-        violations: &mut Vec<Violation>,
-    ) {
-        let Some(i) = relevant else {
-            return;
-        };
-        let model = &self.bxsd.rules[i].content;
-        if model.simple_content.is_some() {
-            xsd::violation::check_simple_text(node, name, model, text.unwrap_or(""), violations);
-        } else if !model.mixed && !model.open && has_text {
-            violations.push(Violation {
-                node,
-                kind: ViolationKind::UnexpectedText(name.to_owned()),
-            });
-        }
-        violations.append(attr_violations);
-        if let Some(at) = failed_at {
-            violations.push(Violation {
-                node,
-                kind: ViolationKind::ContentModel {
-                    element: name.to_owned(),
-                    at,
-                },
-            });
+    fn lockstep(&self) -> LockstepEngine<'_> {
+        LockstepEngine {
+            dfas: &self.ancestor_dfas,
         }
     }
 }
 
-/// Incremental content-model evaluation for one node's children. The
-/// common case steps the relevant rule's content DFA child by child; the
-/// rare non-DFA matchers (`xs:all`, huge counters) buffer the child word
-/// and decide at [`ContentEval::finish`].
-pub(crate) enum ContentEval<'a> {
-    /// No relevant rule: the node is unconstrained (Definition 1).
-    Skip,
-    /// Simple content: any element child at all fails at position 0.
-    Simple,
-    /// Content DFA stepped inline; `failed` is the first dead position.
-    Dfa {
-        dfa: &'a Dfa,
-        q: StateId,
-        failed: Option<usize>,
-    },
-    /// Buffered fallback, resolved via [`CompiledDre::first_error`].
-    Buffered(&'a CompiledDre),
-}
-
-impl ContentEval<'_> {
-    /// Consumes the `pos`-th known element child.
-    #[inline]
-    pub(crate) fn step(&mut self, sym: Sym, pos: usize, word: &mut Vec<Sym>) {
-        match self {
-            ContentEval::Skip | ContentEval::Simple => {}
-            ContentEval::Dfa { dfa, q, failed } => {
-                if failed.is_none() {
-                    match dfa.transition(*q, sym) {
-                        Some(t) => *q = t,
-                        None => *failed = Some(pos),
-                    }
-                }
-            }
-            ContentEval::Buffered(_) => word.push(sym),
-        }
-    }
-
-    /// Where content matching failed, `None` if the child word matches.
-    /// Exactly [`CompiledDre::first_error`] over the known-child word.
-    #[inline]
-    pub(crate) fn finish(self, count: usize, word: &[Sym]) -> Option<usize> {
-        match self {
-            ContentEval::Skip => None,
-            ContentEval::Simple => (count > 0).then_some(0),
-            ContentEval::Dfa { dfa, q, failed } => {
-                failed.or_else(|| (!dfa.is_final(q)).then_some(count))
-            }
-            ContentEval::Buffered(m) => m.first_error(word),
-        }
-    }
-}
-
-/// Ancestor-state evaluation strategy for the streaming validator —
-/// the same two strategies as the tree paths (`run_product` /
-/// `run_lockstep`), expressed per transition so one frame-stack driver
-/// serves both.
-trait AncEngine {
+/// Ancestor-state evaluation strategy, expressed per transition so one
+/// frame-stack sink serves both the product and the lock-step fallback.
+pub(crate) trait AncEngine {
     /// The per-element ancestor state (a single product state, or one
     /// `Option<StateId>` per ancestor DFA in lock-step).
     type State;
     /// State of the root element (its ancestor string is `root_sym`).
     fn start(&self, root_sym: Sym) -> Self::State;
-    /// State of a child reached by `sym` from `parent`.
-    fn child(&self, parent: &Self::State, sym: Sym) -> Self::State;
-    /// The absorbing dead state (below unknown-named elements).
-    fn dead(&self) -> Self::State;
     /// The relevant (last matching) rule in `q`, per Definition 1.
     fn relevant(&self, q: &Self::State) -> Option<usize>;
     /// All matching rules in `q`, in schema order.
     fn matching(&self, q: &Self::State) -> Vec<usize>;
-
-    /// [`Self::child`] drawing storage from `pool` where the state type
-    /// allocates. The default ignores the pool (POD states).
-    #[inline]
+    /// State of a child reached by `sym` from `parent`, drawing storage
+    /// from `pool` where the state type allocates.
     fn child_with(
         &self,
         parent: &Self::State,
         sym: Sym,
-        _pool: &mut Vec<Self::State>,
-    ) -> Self::State {
-        self.child(parent, sym)
-    }
-
-    /// [`Self::dead`] drawing storage from `pool`.
-    #[inline]
-    fn dead_with(&self, _pool: &mut Vec<Self::State>) -> Self::State {
-        self.dead()
-    }
+        pool: &mut Vec<Self::State>,
+    ) -> Self::State;
+    /// The absorbing dead state (below unknown-named elements), drawing
+    /// storage from `pool`.
+    fn dead_with(&self, pool: &mut Vec<Self::State>) -> Self::State;
 
     /// Returns a finished state's storage to `pool` for reuse. No-op for
     /// POD states.
@@ -743,7 +310,7 @@ trait AncEngine {
 }
 
 /// Relevance-product engine: one table lookup per transition (Lemma 7).
-struct ProductEngine<'a>(&'a RelevanceProduct);
+pub(crate) struct ProductEngine<'a>(pub(crate) &'a RelevanceProduct);
 
 impl AncEngine for ProductEngine<'_> {
     type State = ProductState;
@@ -752,20 +319,27 @@ impl AncEngine for ProductEngine<'_> {
         self.0.step(self.0.initial(), root_sym)
     }
 
-    fn child(&self, parent: &ProductState, sym: Sym) -> ProductState {
-        self.0.step(*parent, sym)
-    }
-
-    fn dead(&self) -> ProductState {
-        self.0.dead()
-    }
-
     fn relevant(&self, q: &ProductState) -> Option<usize> {
         self.0.relevant(*q).map(|i| i as usize)
     }
 
     fn matching(&self, q: &ProductState) -> Vec<usize> {
         self.0.matching(*q).iter().map(|&i| i as usize).collect()
+    }
+
+    #[inline]
+    fn child_with(
+        &self,
+        parent: &ProductState,
+        sym: Sym,
+        _: &mut Vec<ProductState>,
+    ) -> ProductState {
+        self.0.step(*parent, sym)
+    }
+
+    #[inline]
+    fn dead_with(&self, _: &mut Vec<ProductState>) -> ProductState {
+        self.0.dead()
     }
 }
 
@@ -783,18 +357,6 @@ impl AncEngine for LockstepEngine<'_> {
             .iter()
             .map(|d| d.transition(d.initial(), root_sym))
             .collect()
-    }
-
-    fn child(&self, parent: &Self::State, sym: Sym) -> Self::State {
-        parent
-            .iter()
-            .zip(self.dfas)
-            .map(|(s, d)| s.and_then(|q| d.transition(q, sym)))
-            .collect()
-    }
-
-    fn dead(&self) -> Self::State {
-        vec![None; self.dfas.len()]
     }
 
     fn relevant(&self, q: &Self::State) -> Option<usize> {
@@ -840,39 +402,66 @@ impl AncEngine for LockstepEngine<'_> {
     }
 }
 
+/// The per-element hook of the walk, a type parameter of [`StreamSink`]:
+/// incremental revalidation's memo (`crate::incremental`). The defaults
+/// are the plain run — descend everywhere, file every violation in the
+/// report — and compile away.
+pub(crate) trait Memo<St> {
+    /// Whether the arena replay enters `node`, reached in state `q`.
+    #[inline]
+    fn descend(&mut self, _node: NodeId, _q: &St) -> bool {
+        true
+    }
+    /// `node`'s pass begins: its frame is pushed.
+    #[inline]
+    fn begin(&mut self, _node: NodeId) {}
+    /// Where the pass of element `pass` files its violations; asked
+    /// only when it has some to file.
+    #[inline]
+    fn out<'a>(
+        &'a mut self,
+        _pass: NodeId,
+        report: &'a mut Vec<Violation>,
+    ) -> &'a mut Vec<Violation> {
+        report
+    }
+}
+
+/// The plain run's hook: no memo.
+pub(crate) struct NoMemo;
+
+impl<St> Memo<St> for NoMemo {}
+
 // Flag bits of [`HotFrame::flags`]. Together with `relevant`, `dfa`,
-// and `q` they encode what `ContentEval` + the old frame's Option/bool
-// fields encoded, in one byte.
-/// Element-only content: text nodes must be scanned for non-whitespace.
-const F_TRACK_TEXT: u8 = 1 << 0;
-/// Non-whitespace text was seen among the children.
-const F_HAS_TEXT: u8 = 1 << 1;
+// and `q` they encode the element's in-progress content evaluation in
+// one byte.
+/// Non-whitespace text was seen among the children (only reported for
+/// element-only content, whose frames ask for it).
+const F_HAS_TEXT: u8 = 1 << 0;
 /// Simple content: any element child fails at position 0; child text
 /// accumulates in the `texts` side table for the type check.
-const F_SIMPLE: u8 = 1 << 2;
+const F_SIMPLE: u8 = 1 << 1;
 /// Buffered content fallback: the child word accumulates in the `words`
 /// side table, resolved via `CompiledDre::first_error` at the end tag.
-const F_BUFFERED: u8 = 1 << 3;
+const F_BUFFERED: u8 = 1 << 2;
 /// The content DFA died; `fail_pos` holds the position.
-const F_FAILED_DFA: u8 = 1 << 4;
+const F_FAILED_DFA: u8 = 1 << 3;
 /// An unknown-named child was seen; `fail_pos` holds its position
-/// (overwriting any earlier DFA failure — unknown children win, exactly
-/// as `unknown_at.or_else(...)` did).
-const F_FAILED_UNKNOWN: u8 = 1 << 5;
+/// (overwriting any earlier DFA failure — unknown children win).
+const F_FAILED_UNKNOWN: u8 = 1 << 4;
 /// This frame parked a non-empty attribute-violation vector on the
 /// sink's `attr_stack`.
-const F_ATTR_VIOL: u8 = 1 << 6;
+const F_ATTR_VIOL: u8 = 1 << 5;
 
 /// `relevant` value for "no matching rule" (Definition 1: unconstrained).
 const NO_RULE: u32 = u32::MAX;
 
-/// The hot per-open-element state of the streaming validator — the part
-/// that is pushed, mutated, and popped on every element. The old
-/// `StreamFrame` carried its cold storage (violation vectors, child
-/// words, accumulated text) inline, moving ~150 bytes per push/pop;
-/// those now live in depth-indexed side tables on [`StreamSink`], and
-/// what remains is small enough to stay in cache (a compile-time
-/// assertion below pins the size for both engines).
+/// The hot per-open-element state of the validator — the part that is
+/// pushed, mutated, and popped on every element. Cold storage
+/// (violation vectors, child words, accumulated text) lives in
+/// depth-indexed side tables on [`StreamSink`], so what remains stays in
+/// cache (a compile-time assertion below pins the size for both
+/// engines).
 struct HotFrame<'c, St> {
     node: NodeId,
     /// Content DFA of the relevant rule, stepped inline via `q`
@@ -890,7 +479,7 @@ struct HotFrame<'c, St> {
     /// Position of the first content failure; which kind won is in
     /// `flags` ([`F_FAILED_UNKNOWN`] beats [`F_FAILED_DFA`]).
     fail_pos: u32,
-    /// [`F_TRACK_TEXT`] … [`F_ATTR_VIOL`].
+    /// [`F_HAS_TEXT`] … [`F_ATTR_VIOL`].
     flags: u8,
 }
 
@@ -910,34 +499,38 @@ pub fn stream_frame_sizes() -> (usize, usize) {
     )
 }
 
-/// Per-rule frame-setup decisions, precomputed once per stream so the
-/// start-tag hot path reads one row instead of chasing four separate
-/// tables (`rules[i].content`, `content_matchers[i]`,
-/// `text_sensitive[i]`, `requires_attr[i]`).
+/// Per-rule frame-setup decisions, precomputed once per run so the
+/// frame push reads one row instead of chasing the rule's content model
+/// and matcher.
 struct RuleMeta<'c> {
     /// Content DFA to step inline, from `initial()` = `q0`.
     dfa: Option<&'c Dfa>,
     q0: u32,
-    /// Initial frame flags: [`F_SIMPLE`] / [`F_BUFFERED`] /
-    /// [`F_TRACK_TEXT`] as the rule's content model dictates.
+    /// Initial frame flags: [`F_SIMPLE`] / [`F_BUFFERED`] as the rule's
+    /// content model dictates.
     flags: u8,
+    /// [`TextInterest::NonWhitespace`] for element-only content (text
+    /// there is a violation), [`TextInterest::Collect`] for simple
+    /// content, [`TextInterest::Ignore`] otherwise.
     interest: TextInterest,
     /// The rule has a required attribute, so the (possibly empty)
     /// attribute list must be checked.
     check_attrs: bool,
 }
 
-/// The streaming validator as an [`EventSink`]: [`XmlReader::drive`]
-/// pushes start/end/text events into it, fused straight off the
-/// structural index where possible. Holds the hot frame stack plus the
-/// cold side tables the frames index by depth.
-struct StreamSink<'v, 'c, E: AncEngine> {
+/// The validator: the per-element rule, content, text, and attribute
+/// logic of Definition 1 over a stack of open-element frames, fed by
+/// [`XmlReader::drive`] (as an [`EventSink`]) or by an arena replay.
+/// Holds the hot frame stack plus the cold side tables the frames index
+/// by depth; `M` is the incremental memo hook ([`NoMemo`] otherwise).
+pub(crate) struct StreamSink<'v, 'c, E: AncEngine, M> {
     cx: &'c CompiledBxsd<'c>,
     /// One row per rule; see [`RuleMeta`].
     meta: Vec<RuleMeta<'c>>,
     eng: &'c E,
     record: bool,
     report: &'v mut BxsdReport,
+    pub(crate) memo: M,
     stack: Vec<HotFrame<'c, E::State>>,
     /// Child word per depth, used only by [`F_BUFFERED`] frames.
     words: Vec<Vec<Sym>>,
@@ -946,9 +539,10 @@ struct StreamSink<'v, 'c, E: AncEngine> {
     /// Parked attribute violations of [`F_ATTR_VIOL`] frames, LIFO.
     /// Almost always empty: valid attribute lists park nothing.
     attr_stack: Vec<Vec<Violation>>,
-    /// The attribute check's working vector — empty between events, so
-    /// the clean (no-violation) path touches no pool at all; a verdict
-    /// is moved onto `attr_stack` only when non-empty.
+    /// The working vector of the attribute check and the frame pop —
+    /// empty between events, so the clean (no-violation) path touches
+    /// no pool at all; an attribute verdict is moved onto `attr_stack`
+    /// only when non-empty.
     viol_scratch: Vec<Violation>,
     /// Recycled violation vectors backing `viol_scratch` refills.
     spare_viol: Vec<Vec<Violation>>,
@@ -956,90 +550,144 @@ struct StreamSink<'v, 'c, E: AncEngine> {
     /// POD product states).
     state_pool: Vec<E::State>,
     /// Next node id, counting element and text nodes in event order —
-    /// the arena allocation order of the tree parser.
+    /// the arena allocation order of the tree parser (streaming only).
     next_node: usize,
-    /// A rejected root mirrors the tree path's early return: the rest
-    /// of the document is drained (malformed XML must still error) but
-    /// produces no further violations or matches.
-    root_rejected: bool,
-    /// Streaming analogue of `resolve_names`: the reader's dense
-    /// first-occurrence `NameId`s index straight into this side table,
-    /// so after an element name's first occurrence the match path is
-    /// one array load — no hashing, no string compare.
+    /// The start-symbol check rejected the root: there are no further
+    /// violations or matches. The stream still drains the rest of the
+    /// document, since malformed XML must still error.
+    pub(crate) root_rejected: bool,
+    /// Schema symbol per element name id (`None`: not in the schema).
+    /// The replay resolves the document's names up front; the stream
+    /// fills the table as the reader's dense first-occurrence ids
+    /// arrive, so after a name's first occurrence the match is one
+    /// array load — no hashing, no string compare.
     syms: Vec<Option<Sym>>,
 }
 
-impl<E: AncEngine> EventSink for StreamSink<'_, '_, E> {
-    fn start_element(
-        &mut self,
-        name: &str,
-        name_id: NameId,
-        attributes: &AttrList<'_>,
-        _self_closing: bool,
-    ) -> TextInterest {
-        let node = NodeId(self.next_node);
-        self.next_node += 1;
-        if self.root_rejected {
-            return TextInterest::Ignore;
+impl<'v, 'c, E: AncEngine, M: Memo<E::State>> StreamSink<'v, 'c, E, M> {
+    pub(crate) fn new(
+        cx: &'c CompiledBxsd<'c>,
+        eng: &'c E,
+        record: bool,
+        report: &'v mut BxsdReport,
+        memo: M,
+    ) -> Self {
+        let meta = cx
+            .bxsd
+            .rules
+            .iter()
+            .zip(&cx.content_matchers)
+            .map(|(r, m)| {
+                let c = &r.content;
+                let check_attrs = c.attributes.iter().any(|a| a.required);
+                if c.simple_content.is_some() {
+                    return RuleMeta {
+                        dfa: None,
+                        q0: 0,
+                        flags: F_SIMPLE,
+                        interest: TextInterest::Collect,
+                        check_attrs,
+                    };
+                }
+                let dfa = m.as_dfa();
+                RuleMeta {
+                    dfa,
+                    q0: dfa.map_or(0, |d| d.initial() as u32),
+                    flags: if dfa.is_none() { F_BUFFERED } else { 0 },
+                    interest: if c.mixed || c.open {
+                        TextInterest::Ignore
+                    } else {
+                        TextInterest::NonWhitespace
+                    },
+                    check_attrs,
+                }
+            })
+            .collect();
+        StreamSink {
+            cx,
+            meta,
+            eng,
+            record,
+            report,
+            memo,
+            stack: Vec::with_capacity(16),
+            words: Vec::new(),
+            texts: Vec::new(),
+            attr_stack: Vec::new(),
+            viol_scratch: Vec::new(),
+            spare_viol: Vec::new(),
+            state_pool: Vec::new(),
+            next_node: 0,
+            root_rejected: false,
+            syms: Vec::new(),
         }
-        let idx = name_id.index();
-        if idx >= self.syms.len() {
-            // New ids are handed out densely, one per first
-            // occurrence — which is always a start tag.
-            debug_assert_eq!(idx, self.syms.len());
-            self.syms.push(self.cx.bxsd.ename.lookup(name));
-        }
-        let sym = self.syms[idx];
+    }
+
+    /// The parent step for element `node` (named `name`, schema symbol
+    /// `sym`): its ancestor state, derived from the innermost open frame,
+    /// with that parent's content-model step, the `NoGoverningDefinition`
+    /// check, and dead poisoning of every later sibling. With no open
+    /// frame, `node` is the root and gets the start-symbol check instead;
+    /// `None` means it rejected the root.
+    fn step(&mut self, node: NodeId, name: &str, sym: Option<Sym>) -> Option<E::State> {
         let depth = self.stack.len();
-        let state = if let Some(parent) = self.stack.last_mut() {
-            if parent.flags & F_FAILED_UNKNOWN != 0 {
-                self.eng.dead_with(&mut self.state_pool)
-            } else {
-                match sym {
-                    Some(sym) => {
-                        // The parent's content step, inlined off the
-                        // frame fields (what `ContentEval::step` did).
-                        if let Some(dfa) = parent.dfa {
-                            if parent.flags & F_FAILED_DFA == 0 {
-                                match dfa.transition(parent.q as StateId, sym) {
-                                    Some(t) => parent.q = t as u32,
-                                    None => {
-                                        parent.flags |= F_FAILED_DFA;
-                                        parent.fail_pos = parent.count;
-                                    }
-                                }
-                            }
-                        } else if parent.flags & F_BUFFERED != 0 {
-                            self.words[depth - 1].push(sym);
-                        }
-                        parent.count = parent.count.saturating_add(1);
-                        self.eng
-                            .child_with(&parent.state, sym, &mut self.state_pool)
-                    }
-                    None => {
-                        self.report.violations.push(Violation {
-                            node,
-                            kind: ViolationKind::NoGoverningDefinition(name.to_owned()),
-                        });
-                        parent.flags |= F_FAILED_UNKNOWN;
-                        parent.fail_pos = parent.count;
-                        self.eng.dead_with(&mut self.state_pool)
-                    }
-                }
+        let Some(parent) = self.stack.last_mut() else {
+            if let Some(sym) = sym.filter(|s| self.cx.bxsd.start.contains(s)) {
+                return Some(self.eng.start(sym));
             }
-        } else {
-            match sym.filter(|s| self.cx.bxsd.start.contains(s)) {
-                Some(sym) => self.eng.start(sym),
-                None => {
-                    self.report.violations.push(Violation {
-                        node,
-                        kind: ViolationKind::RootNotAllowed(name.to_owned()),
-                    });
-                    self.root_rejected = true;
-                    return TextInterest::Ignore;
-                }
-            }
+            self.memo
+                .out(node, &mut self.report.violations)
+                .push(Violation {
+                    node,
+                    kind: ViolationKind::RootNotAllowed(name.to_owned()),
+                });
+            self.root_rejected = true;
+            return None;
         };
+        if parent.flags & F_FAILED_UNKNOWN != 0 {
+            return Some(self.eng.dead_with(&mut self.state_pool));
+        }
+        let Some(sym) = sym else {
+            self.memo
+                .out(parent.node, &mut self.report.violations)
+                .push(Violation {
+                    node,
+                    kind: ViolationKind::NoGoverningDefinition(name.to_owned()),
+                });
+            parent.flags |= F_FAILED_UNKNOWN;
+            parent.fail_pos = parent.count;
+            return Some(self.eng.dead_with(&mut self.state_pool));
+        };
+        if let Some(dfa) = parent.dfa {
+            if parent.flags & F_FAILED_DFA == 0 {
+                match dfa.transition(parent.q as StateId, sym) {
+                    Some(t) => parent.q = t as u32,
+                    None => {
+                        parent.flags |= F_FAILED_DFA;
+                        parent.fail_pos = parent.count;
+                    }
+                }
+            }
+        } else if parent.flags & F_BUFFERED != 0 {
+            self.words[depth - 1].push(sym);
+        }
+        parent.count = parent.count.saturating_add(1);
+        Some(
+            self.eng
+                .child_with(&parent.state, sym, &mut self.state_pool),
+        )
+    }
+
+    /// Pushes the frame of element `node` in ancestor state `state`:
+    /// records its matches, sets up its content-model evaluation, and
+    /// checks its `(name, value)` attribute pairs. Returns what the
+    /// element's relevant rule needs of its text.
+    fn push<'a, A>(&mut self, node: NodeId, state: E::State, attributes: A) -> TextInterest
+    where
+        A: Iterator<Item = (&'a str, &'a str)> + Clone,
+    {
+        self.memo.begin(node);
+        let depth = self.stack.len();
         let relevant = self.eng.relevant(&state);
         if self.record {
             self.report.matches.insert(
@@ -1072,15 +720,15 @@ impl<E: AncEngine> EventSink for StreamSink<'_, '_, E> {
             } else if flags & F_BUFFERED != 0 {
                 self.words[depth].clear();
             }
-            // Attributes are checked right here, against the reader's
-            // borrowed list — nothing is copied out of its buffer. The
-            // (almost always empty) verdict is parked on the side stack
-            // and emitted at the end tag, where the tree path reports
-            // it, so the within-node violation order stays identical.
-            if m.check_attrs || !attributes.is_empty() {
+            // Attributes are checked right here — off the reader's
+            // borrowed token when streaming, so nothing is copied out of
+            // its buffer. The (almost always empty) verdict is parked on
+            // the side stack and emitted when the frame pops, so the
+            // within-node violation order is text, attributes, content.
+            if m.check_attrs || attributes.clone().next().is_some() {
                 xsd::violation::check_attribute_pairs(
                     node,
-                    attributes.iter().map(|a| (a.name, a.value)),
+                    attributes,
                     &self.cx.bxsd.rules[i].content,
                     &mut self.viol_scratch,
                 );
@@ -1105,59 +753,9 @@ impl<E: AncEngine> EventSink for StreamSink<'_, '_, E> {
         interest
     }
 
-    fn end_element(&mut self, name: &str, _name_id: NameId) {
-        if self.root_rejected {
-            return;
-        }
-        let frame = self.stack.pop().expect("events are well nested");
-        let depth = self.stack.len(); // the popped frame's own depth
-        let relevant = (frame.relevant != NO_RULE).then_some(frame.relevant as usize);
-        // What `unknown_at.or_else(|| content.finish(...))` computed,
-        // read off the frame fields.
-        let failed_at = if frame.flags & F_FAILED_UNKNOWN != 0 {
-            Some(frame.fail_pos as usize)
-        } else if frame.flags & F_SIMPLE != 0 {
-            (frame.count > 0).then_some(0)
-        } else if let Some(dfa) = frame.dfa {
-            if frame.flags & F_FAILED_DFA != 0 {
-                Some(frame.fail_pos as usize)
-            } else {
-                (!dfa.is_final(frame.q as StateId)).then_some(frame.count as usize)
-            }
-        } else if frame.flags & F_BUFFERED != 0 {
-            let i = frame.relevant as usize;
-            self.cx.content_matchers[i].first_error(&self.words[depth])
-        } else {
-            None
-        };
-        let mut av = if frame.flags & F_ATTR_VIOL != 0 {
-            self.attr_stack.pop().expect("flagged frame parked its vec")
-        } else {
-            Vec::new() // never allocates; stays empty
-        };
-        self.cx.check_stream_node(
-            frame.node,
-            name,
-            &mut av,
-            relevant,
-            failed_at,
-            frame.flags & F_HAS_TEXT != 0,
-            (frame.flags & F_SIMPLE != 0).then(|| self.texts[depth].as_str()),
-            &mut self.report.violations,
-        );
-        if av.capacity() > 0 {
-            av.clear();
-            self.spare_viol.push(av);
-        }
-        self.eng.retire(frame.state, &mut self.state_pool);
-    }
-
-    fn text(&mut self, chunk: TextChunk<'_>) {
-        // Text nodes occupy arena slots in the tree build.
-        self.next_node += 1;
-        if self.root_rejected {
-            return;
-        }
+    /// One text node directly inside the innermost open element, shaped
+    /// by the interest its frame push declared.
+    fn text_chunk(&mut self, chunk: TextChunk<'_>) {
         let depth = self.stack.len();
         let frame = self
             .stack
@@ -1167,6 +765,174 @@ impl<E: AncEngine> EventSink for StreamSink<'_, '_, E> {
             TextChunk::NonWs(true) => frame.flags |= F_HAS_TEXT,
             TextChunk::NonWs(false) | TextChunk::Skipped => {}
             TextChunk::Collect(t) => self.texts[depth - 1].push_str(t),
+        }
+    }
+
+    /// Pops the innermost frame (element `name`) and files its pass's
+    /// violations in the order the oracle reports them: text,
+    /// attributes, content model.
+    fn pop(&mut self, name: &str) {
+        let frame = self.stack.pop().expect("events are well nested");
+        let depth = self.stack.len(); // the popped frame's own depth
+        if frame.relevant != NO_RULE {
+            let i = frame.relevant as usize;
+            let node = frame.node;
+            let failed_at = if frame.flags & (F_FAILED_UNKNOWN | F_FAILED_DFA) != 0 {
+                Some(frame.fail_pos as usize)
+            } else if frame.flags & F_SIMPLE != 0 {
+                (frame.count > 0).then_some(0)
+            } else if let Some(dfa) = frame.dfa {
+                (!dfa.is_final(frame.q as StateId)).then_some(frame.count as usize)
+            } else if frame.flags & F_BUFFERED != 0 {
+                self.cx.content_matchers[i].first_error(&self.words[depth])
+            } else {
+                None
+            };
+            // Collected apart (the scratch vector is empty between
+            // events), so the memo hook sees only passes that emit.
+            let found = &mut self.viol_scratch;
+            let model = &self.cx.bxsd.rules[i].content;
+            if frame.flags & F_SIMPLE != 0 {
+                xsd::violation::check_simple_text(node, name, model, &self.texts[depth], found);
+            } else if frame.flags & F_HAS_TEXT != 0 {
+                found.push(Violation {
+                    node,
+                    kind: ViolationKind::UnexpectedText(name.to_owned()),
+                });
+            }
+            if frame.flags & F_ATTR_VIOL != 0 {
+                let mut parked = self.attr_stack.pop().expect("flagged frame parked its vec");
+                found.append(&mut parked);
+                self.spare_viol.push(parked);
+            }
+            if let Some(at) = failed_at {
+                found.push(Violation {
+                    node,
+                    kind: ViolationKind::ContentModel {
+                        element: name.to_owned(),
+                        at,
+                    },
+                });
+            }
+            if !found.is_empty() {
+                self.memo
+                    .out(node, &mut self.report.violations)
+                    .append(found);
+            }
+        }
+        self.eng.retire(frame.state, &mut self.state_pool);
+    }
+
+    /// Resolves `doc`'s distinct element names against the schema
+    /// alphabet once, for [`Self::replay`].
+    pub(crate) fn resolve_names(&mut self, doc: &Document) {
+        let ename = &self.cx.bxsd.ename;
+        self.syms = doc
+            .distinct_names()
+            .iter()
+            .map(|n| ename.lookup(n))
+            .collect();
+    }
+
+    /// Validates the whole arena from its root.
+    pub(crate) fn replay_document(&mut self, doc: &Document) {
+        self.resolve_names(doc);
+        let root = doc.root();
+        let sym = self.syms[doc.name_id(root).expect("root is an element") as usize];
+        let Some(q) = self.step(root, doc.name(root).expect("element"), sym) else {
+            return;
+        };
+        if self.memo.descend(root, &q) {
+            self.replay(doc, root, q);
+        }
+    }
+
+    /// Replays the arena subtree at `start`, in ancestor state `state`,
+    /// into the sink the way [`XmlReader::drive`] would stream it.
+    /// Element names resolve through [`Self::resolve_names`], because
+    /// an edited arena's name ids are not in document order. Iterative,
+    /// with one `(node, unvisited children, text interest)` entry per
+    /// open element, so depth never reaches the call stack.
+    pub(crate) fn replay(&mut self, doc: &Document, start: NodeId, state: E::State) {
+        let name = |n: NodeId| doc.name(n).expect("element");
+        let attrs = |n: NodeId| {
+            doc.attributes(n)
+                .iter()
+                .map(|a| (a.name.as_str(), a.value.as_str()))
+        };
+        let interest = self.push(start, state, attrs(start));
+        let mut open = vec![(start, doc.children(start), interest)];
+        while let Some((node, children, interest)) = open.last_mut() {
+            let unvisited: &[NodeId] = children;
+            let Some((&child, rest)) = unvisited.split_first() else {
+                let node = *node;
+                open.pop();
+                self.pop(name(node));
+                continue;
+            };
+            *children = rest;
+            let interest = *interest;
+            let Some(nid) = doc.name_id(child) else {
+                let text = doc.text(child).unwrap_or_default();
+                match interest {
+                    TextInterest::Ignore => {}
+                    TextInterest::NonWhitespace => {
+                        self.text_chunk(TextChunk::NonWs(!text.chars().all(is_xml_whitespace)))
+                    }
+                    TextInterest::Collect => self.text_chunk(TextChunk::Collect(text)),
+                }
+                continue;
+            };
+            let q = self
+                .step(child, name(child), self.syms[nid as usize])
+                .expect("only the root can be rejected");
+            if self.memo.descend(child, &q) {
+                let interest = self.push(child, q, attrs(child));
+                open.push((child, doc.children(child), interest));
+            } else {
+                self.eng.retire(q, &mut self.state_pool);
+            }
+        }
+    }
+}
+
+impl<E: AncEngine, M: Memo<E::State>> EventSink for StreamSink<'_, '_, E, M> {
+    fn start_element(
+        &mut self,
+        name: &str,
+        name_id: NameId,
+        attributes: &AttrList<'_>,
+        _self_closing: bool,
+    ) -> TextInterest {
+        let node = NodeId(self.next_node);
+        self.next_node += 1;
+        if self.root_rejected {
+            return TextInterest::Ignore;
+        }
+        let idx = name_id.index();
+        if idx >= self.syms.len() {
+            // New ids are handed out densely, one per first
+            // occurrence — which is always a start tag.
+            debug_assert_eq!(idx, self.syms.len());
+            self.syms.push(self.cx.bxsd.ename.lookup(name));
+        }
+        match self.step(node, name, self.syms[idx]) {
+            Some(state) => self.push(node, state, attributes.iter().map(|a| (a.name, a.value))),
+            None => TextInterest::Ignore,
+        }
+    }
+
+    fn end_element(&mut self, name: &str, _name_id: NameId) {
+        if !self.root_rejected {
+            self.pop(name);
+        }
+    }
+
+    fn text(&mut self, chunk: TextChunk<'_>) {
+        // Text nodes occupy arena slots in the tree build.
+        self.next_node += 1;
+        if !self.root_rejected {
+            self.text_chunk(chunk);
         }
     }
 }
@@ -1515,6 +1281,16 @@ mod tests {
             matches!(&violations[0].kind, ViolationKind::UnexpectedText(e) if e == "document"),
             "{violations:?}"
         );
+        // Only XML's S characters are whitespace: a no-break space (or a
+        // next-line character) is text.
+        for space in ["\u{a0}", "\u{85}"] {
+            let nbsp = format!("<document><template/>{space}<content/></document>");
+            let violations = assert_stream_equivalence(&c, &nbsp);
+            assert!(
+                matches!(&violations[..], [v] if matches!(&v.kind, ViolationKind::UnexpectedText(e) if e == "document")),
+                "{violations:?}"
+            );
+        }
     }
 
     #[test]
@@ -1528,6 +1304,57 @@ mod tests {
             let want = c.validate_with(doc, recording());
             assert_eq!(got.violations, want.violations);
             assert_eq!(got.matches, want.matches);
+        }
+    }
+
+    /// The arena replay on an *edited* arena, where node ids are not in
+    /// pre-order and name ids are not in document order — a case the
+    /// stream tests never see, because they reparse.
+    #[test]
+    fn edited_arena_matches_oracle() {
+        let x = example();
+        let mut d = elem("document")
+            .child(elem("template").text(" "))
+            .child(elem("content").text("intro").child(elem("template")))
+            .build();
+        let find = |d: &Document, name: &str| {
+            d.iter_elements()
+                .find(|&n| d.name(n) == Some(name))
+                .unwrap()
+        };
+        let template = find(&d, "template");
+        let content = find(&d, "content");
+        let old = d.element_children(content).next().unwrap();
+        // New names ahead of older siblings: one the schema knows, one
+        // it does not.
+        let section = d.insert_child(content, 0, "section");
+        d.add_text(section, "mixed");
+        let nested = d.add_element(section, "section");
+        d.set_attribute(nested, "title", "t");
+        let unknown = d.insert_child(template, 0, "zzz");
+        d.add_element(content, "section");
+        d.remove_child(content, old);
+        // Document order: document, template, zzz, content, section, …
+        assert!(unknown.0 > content.0 && section.0 > content.0);
+        assert!(d.name_id(unknown) > d.name_id(section));
+        assert!(d.name_id(section) > d.name_id(content));
+
+        let c = CompiledBxsd::new(&x);
+        let want = crate::oracle::validate_with(&x, &d, true);
+        assert!(want.violations.len() >= 4, "{:?}", want.violations);
+        for force_lockstep in [false, true] {
+            let got = c.validate_with(
+                &d,
+                ValidateOptions {
+                    record_matches: true,
+                    force_lockstep,
+                },
+            );
+            assert_eq!(
+                got.violations, want.violations,
+                "lock-step: {force_lockstep}"
+            );
+            assert_eq!(got.matches, want.matches, "lock-step: {force_lockstep}");
         }
     }
 }

@@ -45,7 +45,7 @@ pub use parser::{parse, parse_document, parse_from_reader, ParsedXml};
 pub use serializer::{to_string, to_string_pretty};
 pub use simd::Engine;
 pub use stream::{
-    Attr, AttrList, EventSink, LazyName, NameId, TextChunk, TextInterest, XmlEvent, XmlReader,
-    XmlToken,
+    is_xml_whitespace, Attr, AttrList, EventSink, LazyName, NameId, TextChunk, TextInterest,
+    XmlEvent, XmlReader, XmlToken,
 };
 pub use tree::{Attribute, Document, Edit, EditLog, ElementsIter, NodeId, NodeKind};

@@ -178,34 +178,34 @@ fn classify_scalar(chunk: &[u8], base: usize, marks: &mut Vec<u64>, nls: &mut Ve
     all_ascii
 }
 
-/// Length of the longest prefix of `bytes` consisting entirely of ASCII
-/// whitespace (`0x09`–`0x0D`, `0x20`) — equivalently, the offset of the
-/// first byte outside that set, or `bytes.len()`. The fused drive loop
-/// uses this to answer "any non-whitespace text?" for element-only
-/// content without a per-`char` scan; the byte at the returned offset
-/// (if any) still needs a `char`-level look when it's ≥ 0x80, since
-/// multi-byte sequences can decode to Unicode whitespace.
+/// Length of the longest prefix of `bytes` consisting entirely of XML
+/// whitespace (the `S` production: `0x09`, `0x0A`, `0x0D`, `0x20`) —
+/// equivalently, the offset of the first byte outside that set, or
+/// `bytes.len()`. The fused drive loop uses this to answer "any
+/// non-whitespace text?" for element-only content without a per-`char`
+/// scan. All four bytes are ASCII, so no multi-byte sequence is ever
+/// whitespace and the answer needs no `char`-level look.
 #[inline]
-pub(crate) fn first_non_ascii_ws(bytes: &[u8]) -> usize {
+pub(crate) fn first_non_xml_ws(bytes: &[u8]) -> usize {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("sse2") {
-            return sse2::first_non_ascii_ws(bytes);
+            return sse2::first_non_xml_ws(bytes);
         }
     }
     #[cfg(target_arch = "aarch64")]
     {
-        return neon::first_non_ascii_ws(bytes);
+        return neon::first_non_xml_ws(bytes);
     }
     #[allow(unreachable_code)]
-    first_non_ascii_ws_scalar(bytes)
+    first_non_xml_ws_scalar(bytes)
 }
 
-/// Portable reference for [`first_non_ascii_ws`].
-fn first_non_ascii_ws_scalar(bytes: &[u8]) -> usize {
+/// Portable reference for [`first_non_xml_ws`].
+fn first_non_xml_ws_scalar(bytes: &[u8]) -> usize {
     bytes
         .iter()
-        .position(|&b| !matches!(b, 0x09..=0x0D | 0x20))
+        .position(|&b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
         .unwrap_or(bytes.len())
 }
 
@@ -272,32 +272,31 @@ mod sse2 {
     }
 
     #[allow(unsafe_code)]
-    pub(super) fn first_non_ascii_ws(bytes: &[u8]) -> usize {
+    pub(super) fn first_non_xml_ws(bytes: &[u8]) -> usize {
         // SAFETY: the caller checked `is_x86_feature_detected!("sse2")`
         // (always true on x86-64, which has SSE2 in its baseline).
-        unsafe { first_non_ascii_ws_impl(bytes) }
+        unsafe { first_non_xml_ws_impl(bytes) }
     }
 
     #[allow(unsafe_code)]
     #[target_feature(enable = "sse2")]
-    unsafe fn first_non_ascii_ws_impl(bytes: &[u8]) -> usize {
-        use std::arch::x86_64::{_mm_min_epu8, _mm_sub_epi8};
+    unsafe fn first_non_xml_ws_impl(bytes: &[u8]) -> usize {
         let mut i = 0;
         while i + 16 <= bytes.len() {
             // SAFETY: `i + 16 <= bytes.len()`; unaligned load is fine.
             let v = unsafe { _mm_loadu_si128(bytes.as_ptr().add(i) as *const __m128i) };
-            // Unsigned range test: b - 9 <= 4 ⇔ b ∈ 0x09..=0x0D (the
-            // subtraction wraps, so anything below 9 lands high).
-            let sub = _mm_sub_epi8(v, _mm_set1_epi8(9));
-            let in_range = _mm_cmpeq_epi8(_mm_min_epu8(sub, _mm_set1_epi8(4)), sub);
-            let ws = _mm_or_si128(in_range, _mm_cmpeq_epi8(v, _mm_set1_epi8(b' ' as i8)));
+            let eq = |c: u8| _mm_cmpeq_epi8(v, _mm_set1_epi8(c as i8));
+            let ws = _mm_or_si128(
+                _mm_or_si128(eq(b' '), eq(b'\t')),
+                _mm_or_si128(eq(b'\r'), eq(b'\n')),
+            );
             let non_ws = !(_mm_movemask_epi8(ws) as u32) & 0xFFFF;
             if non_ws != 0 {
                 return i + non_ws.trailing_zeros() as usize;
             }
             i += 16;
         }
-        i + super::first_non_ascii_ws_scalar(&bytes[i..])
+        i + super::first_non_xml_ws_scalar(&bytes[i..])
     }
 }
 
@@ -369,29 +368,30 @@ mod neon {
     }
 
     #[allow(unsafe_code)]
-    pub(super) fn first_non_ascii_ws(bytes: &[u8]) -> usize {
+    pub(super) fn first_non_xml_ws(bytes: &[u8]) -> usize {
         // SAFETY: NEON is baseline on aarch64.
-        unsafe { first_non_ascii_ws_impl(bytes) }
+        unsafe { first_non_xml_ws_impl(bytes) }
     }
 
     #[allow(unsafe_code)]
     #[target_feature(enable = "neon")]
-    unsafe fn first_non_ascii_ws_impl(bytes: &[u8]) -> usize {
-        use std::arch::aarch64::{vcleq_u8, vsubq_u8};
+    unsafe fn first_non_xml_ws_impl(bytes: &[u8]) -> usize {
         let mut i = 0;
         while i + 16 <= bytes.len() {
             // SAFETY: `i + 16 <= bytes.len()`.
             let v = unsafe { vld1q_u8(bytes.as_ptr().add(i)) };
-            // Unsigned range test: b - 9 <= 4 ⇔ b ∈ 0x09..=0x0D.
-            let in_range = vcleq_u8(vsubq_u8(v, vdupq_n_u8(9)), vdupq_n_u8(4));
-            let ws = vorrq_u8(in_range, vceqq_u8(v, vdupq_n_u8(b' ')));
+            let eq = |c: u8| vceqq_u8(v, vdupq_n_u8(c));
+            let ws = vorrq_u8(
+                vorrq_u8(eq(b' '), eq(b'\t')),
+                vorrq_u8(eq(b'\r'), eq(b'\n')),
+            );
             let mask = nibble_mask(ws);
             if mask != u64::MAX {
                 return i + ((!mask).trailing_zeros() >> 2) as usize;
             }
             i += 16;
         }
-        i + super::first_non_ascii_ws_scalar(&bytes[i..])
+        i + super::first_non_xml_ws_scalar(&bytes[i..])
     }
 }
 
@@ -483,11 +483,11 @@ mod tests {
     }
 
     #[test]
-    fn first_non_ascii_ws_matches_naive_scan() {
-        // Byte soup heavy in whitespace, with the boundary values of
-        // the 0x09..=0x0D range, 0x20's neighbors, and high bytes that
-        // decode to Unicode whitespace (0x85, 0xA0) — which must NOT
-        // count as ASCII whitespace here.
+    fn first_non_xml_ws_matches_naive_scan() {
+        // Byte soup heavy in whitespace, with the ASCII whitespace that
+        // is not XML whitespace (0x0B, 0x0C), 0x20's neighbors, and high
+        // bytes that decode to Unicode whitespace (0x85, 0xA0) — none of
+        // which may count as whitespace here.
         let mut bytes = Vec::new();
         let mut x: u64 = 0x243f6a8885a308d3;
         for _ in 0..2048 {
@@ -495,7 +495,7 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let b = (x >> 33) as u8;
-            bytes.push(match b % 13 {
+            bytes.push(match b % 15 {
                 0 => 0x08,
                 1 => 0x09,
                 2 => 0x0A,
@@ -506,6 +506,8 @@ mod tests {
                 7 => 0x21,
                 8 => 0x85,
                 9 => 0xA0,
+                10 => 0x0B,
+                11 => 0x0C,
                 _ => b,
             });
         }
@@ -517,15 +519,15 @@ mod tests {
                 let chunk = &bytes[start..end];
                 let naive = chunk
                     .iter()
-                    .position(|&b| !matches!(b, 0x09..=0x0D | 0x20))
+                    .position(|&b| !crate::is_xml_whitespace(char::from(b)))
                     .unwrap_or(chunk.len());
                 assert_eq!(
-                    first_non_ascii_ws(chunk),
+                    first_non_xml_ws(chunk),
                     naive,
                     "diverges at start={start} len={len}"
                 );
                 let all_ws = &vec![b'\t'; len][..];
-                assert_eq!(first_non_ascii_ws(all_ws), len);
+                assert_eq!(first_non_xml_ws(all_ws), len);
             }
         }
     }

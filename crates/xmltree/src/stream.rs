@@ -425,7 +425,7 @@ pub enum TextChunk<'a> {
     /// The enclosing interest was [`TextInterest::Ignore`].
     Skipped,
     /// Whether the run contains any non-whitespace character — exactly
-    /// `text.chars().any(|c| !c.is_whitespace())` over the decoded run.
+    /// `!text.chars().all(is_xml_whitespace)` over the decoded run.
     NonWs(bool),
     /// The decoded run (never empty).
     Collect(&'a str),
@@ -789,21 +789,12 @@ fn str_from_checked(bytes: &[u8]) -> &str {
     unsafe { std::str::from_utf8_unchecked(bytes) }
 }
 
-/// Whether `s` contains any non-whitespace character, by the same
-/// predicate the tree builder applies (`char::is_whitespace`). The SIMD
-/// sweep skips the ASCII whitespace prefix; the first non-ASCII-ws byte
-/// decides directly if it's ASCII (no ASCII byte outside the swept set
-/// is whitespace), and hands the remainder to the `char` predicate
-/// otherwise (bytes ≥ 0x80 can decode to Unicode whitespace like
-/// U+0085/U+00A0, which the tree path treats as whitespace).
+/// Whether `s` contains any character outside [`is_xml_whitespace`] —
+/// the predicate the tree applies (`Document::has_significant_text`),
+/// answered by one SIMD sweep.
 #[inline]
 fn has_non_ws(s: &str) -> bool {
-    let k = simd::first_non_ascii_ws(s.as_bytes());
-    match s.as_bytes().get(k) {
-        None => false,
-        Some(&b) if b < 0x80 => true,
-        Some(_) => s[k..].chars().any(|c| !c.is_whitespace()),
-    }
+    simd::first_non_xml_ws(s.as_bytes()) < s.len()
 }
 
 /// Whether an extent-resolved end tag (`tag` starts `</`, ends with its
@@ -2813,6 +2804,15 @@ pub(crate) fn decode_char_ref(digits: &str, radix: u32) -> Result<char, String> 
         ));
     }
     Ok(ch)
+}
+
+/// The XML 1.0 `S` production (#x20 | #x9 | #xD | #xA): the only
+/// characters XML and XSD treat as whitespace — in element-only content
+/// (Element Locally Valid (Complex Type) 2.3) and in the `whiteSpace`
+/// facet alike. Unlike `char::is_whitespace`, Unicode spaces such as
+/// U+00A0 are ordinary text.
+pub fn is_xml_whitespace(c: char) -> bool {
+    matches!(c, ' ' | '\t' | '\r' | '\n')
 }
 
 /// The XML 1.0 `Char` production.

@@ -589,11 +589,12 @@ impl Document {
             .collect()
     }
 
-    /// Whether `node` has any non-whitespace text children.
+    /// Whether `node` has any text child with a character outside
+    /// [`crate::is_xml_whitespace`].
     pub fn has_significant_text(&self, node: NodeId) -> bool {
         self.children(node).iter().any(|&c| {
             self.text(c)
-                .is_some_and(|t| !t.chars().all(char::is_whitespace))
+                .is_some_and(|t| !t.chars().all(crate::is_xml_whitespace))
         })
     }
 

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use xmltree::is_xml_whitespace;
+
 /// A built-in XML Schema simple type.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum SimpleType {
@@ -122,17 +124,20 @@ impl SimpleType {
             SimpleType::String | SimpleType::AnyUri | SimpleType::AnySimpleType => true,
             SimpleType::Token => true, // any string normalizes
             // All remaining built-ins have whiteSpace=collapse: leading
-            // and trailing whitespace never affects validity.
-            SimpleType::Boolean => matches!(value.trim(), "true" | "false" | "1" | "0"),
+            // and trailing XML whitespace never affects validity.
+            SimpleType::Boolean => matches!(
+                value.trim_matches(is_xml_whitespace),
+                "true" | "false" | "1" | "0"
+            ),
             SimpleType::Integer => parse_integer(value).is_some(),
             SimpleType::NonNegativeInteger => parse_integer(value).is_some_and(|v| v >= 0),
             SimpleType::PositiveInteger => parse_integer(value).is_some_and(|v| v > 0),
             SimpleType::Decimal => is_decimal(value),
             SimpleType::Double => is_double(value),
-            SimpleType::Date => is_date(value.trim()),
-            SimpleType::Time => is_time(value.trim()),
+            SimpleType::Date => is_date(value.trim_matches(is_xml_whitespace)),
+            SimpleType::Time => is_time(value.trim_matches(is_xml_whitespace)),
             SimpleType::DateTime => value
-                .trim()
+                .trim_matches(is_xml_whitespace)
                 .split_once('T')
                 .is_some_and(|(d, t)| is_date(d) && is_time(t)),
             SimpleType::Id | SimpleType::IdRef | SimpleType::NmToken => is_nmtoken(value),
@@ -218,13 +223,13 @@ impl Facets {
     pub fn check(&self, base: SimpleType) -> Result<(), String> {
         for (facet, bound) in [("min", &self.min_inclusive), ("max", &self.max_inclusive)] {
             if let Some(b) = bound {
-                if !base.validates(b.trim()) {
+                if !base.validates(b.trim_matches(is_xml_whitespace)) {
                     return Err(format!(
                         "{facet} bound {b:?} is not a valid {}",
                         base.qname()
                     ));
                 }
-                if base == SimpleType::Double && b.trim() == "NaN" {
+                if base == SimpleType::Double && b.trim_matches(is_xml_whitespace) == "NaN" {
                     return Err(format!("{facet} bound NaN is incomparable"));
                 }
             }
@@ -440,14 +445,17 @@ fn compare_values(base: SimpleType, a: &str, b: &str) -> Option<std::cmp::Orderi
         SimpleType::Integer | SimpleType::NonNegativeInteger | SimpleType::PositiveInteger => {
             Some(parse_integer(a)?.cmp(&parse_integer(b)?))
         }
-        SimpleType::Decimal => decimal_cmp(a.trim(), b.trim()),
+        SimpleType::Decimal => decimal_cmp(
+            a.trim_matches(is_xml_whitespace),
+            b.trim_matches(is_xml_whitespace),
+        ),
         SimpleType::Double => parse_double(a)?.partial_cmp(&parse_double(b)?),
         _ => Some(a.cmp(b)),
     }
 }
 
 fn parse_double(v: &str) -> Option<f64> {
-    match v.trim() {
+    match v.trim_matches(is_xml_whitespace) {
         "INF" => Some(f64::INFINITY),
         "-INF" => Some(f64::NEG_INFINITY),
         t => t.parse().ok(),
@@ -496,7 +504,7 @@ fn decimal_cmp(a: &str, b: &str) -> Option<std::cmp::Ordering> {
 }
 
 fn parse_integer(v: &str) -> Option<i128> {
-    let v = v.trim();
+    let v = v.trim_matches(is_xml_whitespace);
     if v.is_empty() {
         return None;
     }
@@ -508,7 +516,7 @@ fn parse_integer(v: &str) -> Option<i128> {
 /// than `str::parse::<f64>`, which also accepts Rust spellings like
 /// `inf`, `Infinity`, `nan`, and `+NaN` that XSD excludes.
 fn is_double(v: &str) -> bool {
-    let v = v.trim();
+    let v = v.trim_matches(is_xml_whitespace);
     matches!(v, "INF" | "-INF" | "NaN")
         || (v
             .bytes()
@@ -517,7 +525,7 @@ fn is_double(v: &str) -> bool {
 }
 
 fn is_decimal(v: &str) -> bool {
-    let v = v.trim();
+    let v = v.trim_matches(is_xml_whitespace);
     let v = v.strip_prefix(['+', '-']).unwrap_or(v);
     if v.is_empty() || v == "." {
         return false;

@@ -139,7 +139,7 @@ pub fn check_simple_text(
     let Some(st) = model.simple_content else {
         return;
     };
-    let value = text.trim();
+    let value = text.trim_matches(xmltree::is_xml_whitespace);
     if !st.validates(value) || !model.simple_facets.validates(st, value) {
         let expected = if model.simple_facets.is_empty() {
             st.qname().to_owned()

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The tier-1 gate: release build, full test suite, a warning-free
+# The tier-1 gate: release build, the test suites of every workspace
+# crate plus the perfbench harness's own tests, a warning-free
 # clippy pass over every target in the workspace (vendor stand-ins
 # included), canonical formatting, the reader differential suite under
 # both lexer engines (detected SIMD and forced scalar), a parse-only
@@ -13,7 +14,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
-cargo test -q
+cargo test -q --workspace
+cargo test --release --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 # Reader differential suite twice: once with the detected SIMD lexer

@@ -3,8 +3,8 @@
 //! diagnostics quality.
 
 use bonxai::core::translate::TranslateOptions;
-use bonxai::core::{pipeline, BonxaiSchema};
-use bonxai::xmltree::{builder::elem, parse_document};
+use bonxai::core::{pipeline, BonxaiSchema, CompiledBxsd, ValidateOptions};
+use bonxai::xmltree::{builder::elem, parse_document, XmlReader};
 
 /// Section 3.1's counted ancestor pattern `(/a/a)*(@c|@d)` in spirit:
 /// counters and anchoring in rule LHS.
@@ -104,6 +104,46 @@ fn deep_documents_validate_without_overflow() {
     // and through the pipeline
     let (x, _) = pipeline::bonxai_to_xsd(&schema, &TranslateOptions::default());
     assert!(bonxai::xsd::is_valid(&x, &doc));
+
+    // The validator walk itself, 200k deep, through every entry point: the
+    // arena replay under both engines, with and without match
+    // recording, the stream, and the incremental memo. (The facade leg
+    // above stays shallow: identity constraints are still quadratic in
+    // depth.)
+    let depth = 200_000;
+    let text = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    let mut deep = parse_document(&text).expect("deep chain parses");
+    let compiled = CompiledBxsd::new(&schema.bxsd);
+    let want = compiled.validate(&deep);
+    assert!(want.is_valid(), "{:?}", want.violations);
+    for force_lockstep in [false, true] {
+        for record_matches in [false, true] {
+            let opts = ValidateOptions {
+                record_matches,
+                force_lockstep,
+            };
+            let got = compiled.validate_with(&deep, opts);
+            assert_eq!(got.violations, want.violations, "{opts:?}");
+            assert_eq!(got.matches.len(), if record_matches { depth } else { 0 });
+        }
+    }
+    let streamed = compiled
+        .validate_stream_with(&mut XmlReader::from_str(&text), ValidateOptions::default())
+        .expect("well-formed");
+    assert_eq!(streamed.violations, want.violations);
+
+    deep.enable_edit_log();
+    let mut state = compiled.validate_persistent(&deep);
+    assert_eq!(state.report().violations, want.violations);
+    let leaf = deep.iter_elements().last().expect("non-empty");
+    let from = state.generation();
+    deep.add_element(leaf, "b");
+    let edits = deep.edit_log().expect("enabled").since(from).to_vec();
+    let got = compiled.revalidate(&deep, &mut state, &edits);
+    let fresh = compiled.validate(&deep);
+    assert!(!fresh.is_valid());
+    assert_eq!(got.violations, fresh.violations);
+    assert_eq!(state.last_passes(), 2, "the leaf and its new child");
 }
 
 #[test]

@@ -155,6 +155,44 @@ fn collapsed_whitespace_is_accepted_everywhere() {
     }
 }
 
+/// Non-XML whitespace counted as whitespace: a no-break space between
+/// the children of element-only content, or padding an integer, was
+/// skipped like a blank, so both documents validated. XSD only treats
+/// XML's `S` characters (#x20 #x9 #xD #xA) as whitespace, both for
+/// Element Locally Valid (Complex Type) 2.3 and for the whiteSpace
+/// facet. Checked on every path (oracle, tree and stream, both
+/// engines, every lexer engine); the second document is also a
+/// conformance case (`data/conformance/whitespace/`).
+#[test]
+fn non_xml_whitespace_is_text_everywhere() {
+    let schema = BonxaiSchema::parse(
+        "global { note } grammar { note = { element to } to = { type xs:integer } }",
+    )
+    .unwrap();
+    for (doc, kind) in [
+        ("<note>&#xA0;<to>5</to></note>", "UnexpectedText"),
+        ("<note><to>&#xA0;5</to></note>", "InvalidTextValue"),
+        ("<note>\u{2003}<to>5</to></note>", "UnexpectedText"),
+        ("<note> \t\r\n<to>\n 5\t</to>\n</note>", ""),
+    ] {
+        let outcome = conformance::check(&schema.bxsd, doc, true);
+        assert!(outcome.divergences.is_empty(), "{doc}: paths disagree");
+        let report = outcome.oracle.expect("well-formed");
+        let kinds: Vec<String> = report
+            .violations
+            .iter()
+            .map(|v| format!("{:?}", v.kind))
+            .collect();
+        match kind {
+            "" => assert!(kinds.is_empty(), "{doc}: {kinds:?}"),
+            k => assert!(
+                kinds.len() == 1 && kinds[0].starts_with(k),
+                "{doc}: want one {k}, got {kinds:?}"
+            ),
+        }
+    }
+}
+
 /// Bounded fuzz smoke: a fixed-seed slice of the full fuzz campaign
 /// runs on every test invocation, so the harness itself (generators,
 /// mutation, shrinking, panic capture) stays exercised and a freshly
