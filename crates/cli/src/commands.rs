@@ -4,7 +4,7 @@ use std::fs;
 use std::process::ExitCode;
 
 use bonxai_core::translate::{Path as TranslatePath, TranslateOptions};
-use bonxai_core::{dtd_import, pipeline, BonxaiSchema, CompiledBxsd, ValidateOptions};
+use bonxai_core::{dtd_import, pipeline, BonxaiSchema, ValidateOptions};
 use xmltree::Document;
 
 /// A loaded schema in any of the three formalisms.
@@ -163,8 +163,8 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
             if has_flag(args, "--fast") {
                 // --fast demands the one-lookup-per-node product path;
                 // refuse to run if the product exceeded its state budget.
-                let compiled = CompiledBxsd::new(&s.bxsd);
-                if compiled.product_states().is_none() {
+                // The probe compiles the schema; validation reuses it.
+                if s.compiled().product_states().is_none() {
                     return Err("--fast: the relevance product exceeds the state budget \
                          for this schema (Theorem 9); rerun without --fast"
                         .into());
@@ -254,7 +254,7 @@ fn validate_stream(
                 .into(),
         );
     }
-    let compiled = CompiledBxsd::new(&s.bxsd);
+    let compiled = s.compiled();
     if has_flag(args, "--fast") && compiled.product_states().is_none() {
         return Err("--fast: the relevance product exceeds the state budget \
              for this schema (Theorem 9); rerun without --fast"
@@ -320,7 +320,7 @@ fn validate_many(args: &[String], pos: &[&String]) -> Result<ExitCode, String> {
         record_matches: false,
         force_lockstep: has_flag(args, "--lockstep"),
     };
-    let compiled = CompiledBxsd::new(&s.bxsd);
+    let compiled = s.compiled();
     if has_flag(args, "--fast") {
         if opts.force_lockstep {
             return Err("--fast and --lockstep are mutually exclusive".into());

@@ -137,6 +137,9 @@ pub fn check_constraints(
     alphabet: &Alphabet,
     doc: &Document,
 ) -> Vec<ConstraintViolation> {
+    if constraints.is_empty() {
+        return Vec::new();
+    }
     let mut violations = Vec::new();
     // Tuples per key name, collected first so keyrefs can look them up
     // regardless of declaration order.

@@ -241,6 +241,7 @@ impl CompiledBxsd<'_> {
             return state.report();
         }
         let p = self
+            .automata
             .relevance
             .as_deref()
             .expect("incremental state implies a relevance product");
@@ -287,7 +288,7 @@ impl CompiledBxsd<'_> {
         state.fallback = None;
         state.generation = doc.generation();
         state.passes = 0;
-        let Some(p) = self.relevance.as_deref() else {
+        let Some(p) = self.automata.relevance.as_deref() else {
             // No product ⇒ nothing to memoize; degrade to a stored
             // fresh report (recomputed on every revalidation).
             state.passes = doc.element_count();

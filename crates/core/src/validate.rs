@@ -115,11 +115,21 @@ impl BxsdReport {
     }
 }
 
-/// A BXSD compiled for repeated validation: one DFA per ancestor
-/// expression, one matcher per content model, and (budget permitting)
-/// the relevance product over the ancestor DFAs.
+/// A BXSD compiled for repeated validation: the borrowed schema plus its
+/// shared, owned automata. [`crate::BonxaiSchema::compiled`] builds the
+/// automata once per schema and hands out views at the cost of one `Arc`
+/// clone; the constructors here always build afresh.
 pub struct CompiledBxsd<'a> {
     pub(crate) bxsd: &'a Bxsd,
+    pub(crate) automata: Arc<Automata>,
+}
+
+/// The automata of a compiled BXSD: one DFA per ancestor expression, one
+/// matcher per content model, and (budget permitting) the relevance
+/// product over the ancestor DFAs. Owned and immutable, so one build is
+/// shared by every view and every thread.
+#[derive(Debug)]
+pub(crate) struct Automata {
     ancestor_dfas: Vec<Arc<Dfa>>,
     pub(crate) content_matchers: Vec<Arc<CompiledDre>>,
     pub(crate) relevance: Option<Arc<RelevanceProduct>>,
@@ -183,9 +193,11 @@ impl<'a> CompiledBxsd<'a> {
         };
         CompiledBxsd {
             bxsd,
-            ancestor_dfas,
-            content_matchers,
-            relevance,
+            automata: Arc::new(Automata {
+                ancestor_dfas,
+                content_matchers,
+                relevance,
+            }),
         }
     }
 
@@ -197,7 +209,7 @@ impl<'a> CompiledBxsd<'a> {
     /// Number of relevance-product states, or `None` when the product
     /// exceeded its budget (validation falls back to lock-step).
     pub fn product_states(&self) -> Option<usize> {
-        self.relevance.as_ref().map(|p| p.n_states())
+        self.automata.relevance.as_ref().map(|p| p.n_states())
     }
 
     /// Validates `doc` under the priority semantics (default options:
@@ -212,7 +224,7 @@ impl<'a> CompiledBxsd<'a> {
     pub fn validate_with(&self, doc: &Document, opts: ValidateOptions) -> BxsdReport {
         let mut report = BxsdReport::empty();
         let record = opts.record_matches;
-        match (&self.relevance, opts.force_lockstep) {
+        match (&self.automata.relevance, opts.force_lockstep) {
             (Some(p), false) => {
                 StreamSink::new(self, &ProductEngine(p), record, &mut report, NoMemo)
                     .replay_document(doc)
@@ -252,7 +264,7 @@ impl<'a> CompiledBxsd<'a> {
     ) -> Result<BxsdReport, xmltree::ParseError> {
         let mut report = BxsdReport::empty();
         let record = opts.record_matches;
-        match (&self.relevance, opts.force_lockstep) {
+        match (&self.automata.relevance, opts.force_lockstep) {
             (Some(p), false) => reader.drive(&mut StreamSink::new(
                 self,
                 &ProductEngine(p),
@@ -274,7 +286,7 @@ impl<'a> CompiledBxsd<'a> {
 
     fn lockstep(&self) -> LockstepEngine<'_> {
         LockstepEngine {
-            dfas: &self.ancestor_dfas,
+            dfas: &self.automata.ancestor_dfas,
         }
     }
 }
@@ -576,7 +588,7 @@ impl<'v, 'c, E: AncEngine, M: Memo<E::State>> StreamSink<'v, 'c, E, M> {
             .bxsd
             .rules
             .iter()
-            .zip(&cx.content_matchers)
+            .zip(&cx.automata.content_matchers)
             .map(|(r, m)| {
                 let c = &r.content;
                 let check_attrs = c.attributes.iter().any(|a| a.required);
@@ -784,7 +796,7 @@ impl<'v, 'c, E: AncEngine, M: Memo<E::State>> StreamSink<'v, 'c, E, M> {
             } else if let Some(dfa) = frame.dfa {
                 (!dfa.is_final(frame.q as StateId)).then_some(frame.count as usize)
             } else if frame.flags & F_BUFFERED != 0 {
-                self.cx.content_matchers[i].first_error(&self.words[depth])
+                self.cx.automata.content_matchers[i].first_error(&self.words[depth])
             } else {
                 None
             };

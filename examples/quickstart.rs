@@ -5,7 +5,7 @@
 
 use bonxai::core::pipeline;
 use bonxai::core::translate::TranslateOptions;
-use bonxai::core::BonxaiSchema;
+use bonxai::core::{BonxaiSchema, ValidateOptions};
 use bonxai::xmltree;
 
 fn main() {
@@ -48,7 +48,14 @@ fn main() {
     )
     .expect("document parses");
 
-    let report = schema.validate(&doc);
+    // Per-element rule matches are recorded only on request.
+    let report = schema.validate_with(
+        &doc,
+        ValidateOptions {
+            record_matches: true,
+            ..Default::default()
+        },
+    );
     println!("document valid: {}", report.is_valid());
 
     // Matched-rule highlighting: which rule governs each element?

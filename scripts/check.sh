@@ -5,7 +5,7 @@
 # included), canonical formatting, the reader differential suite under
 # both lexer engines (detected SIMD and forced scalar), a parse-only
 # front-end microbench as a smoke check that the zero-copy reader
-# still runs under both engines, and the
+# still runs under both engines, every example program, and the
 # lint-corpus and diff-corpus golden checks (every seeded-defect
 # fixture and schema pair must produce exactly its checked-in JSON
 # report — codes, spans, witnesses, verdicts).
@@ -24,6 +24,12 @@ cargo fmt --all --check
 cargo test -q -p bonxai --test reader_differential
 BONXAI_NO_SIMD=1 cargo test -q -p bonxai --test reader_differential
 cargo run --release -p bonxai-bench --bin exp_validation -- --parse-only
+# Examples: every documented entry point (README's quickstart first)
+# must run to completion, so none can silently panic.
+for ex in examples/*.rs; do
+  cargo run -q --release --example "$(basename "$ex" .rs)" > /dev/null \
+    || { echo "example failed: $ex" >&2; exit 1; }
+done
 
 # Differential conformance: the checked-in corpus through the oracle
 # and all four fast paths under every lexer engine and byte source,

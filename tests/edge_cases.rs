@@ -107,15 +107,16 @@ fn deep_documents_validate_without_overflow() {
 
     // The validator walk itself, 200k deep, through every entry point: the
     // arena replay under both engines, with and without match
-    // recording, the stream, and the incremental memo. (The facade leg
-    // above stays shallow: identity constraints are still quadratic in
-    // depth.)
+    // recording, the stream, the incremental memo, and the facade (this
+    // schema declares no identity constraints, which are still quadratic
+    // in depth).
     let depth = 200_000;
     let text = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
     let mut deep = parse_document(&text).expect("deep chain parses");
     let compiled = CompiledBxsd::new(&schema.bxsd);
     let want = compiled.validate(&deep);
     assert!(want.is_valid(), "{:?}", want.violations);
+    assert!(schema.is_valid(&deep));
     for force_lockstep in [false, true] {
         for record_matches in [false, true] {
             let opts = ValidateOptions {
