@@ -12,8 +12,9 @@
 //! Run with `--json` for machine-readable output, `--jobs N` to set the
 //! worker count (default: one per core, clamped to the core count).
 //!
-//! Schemas are linted in parallel on the `core::batch` work-stealing
-//! pool; every job carries its input index and the aggregation below
+//! Schemas are linted in parallel through `core::batch::map_indexed`,
+//! whose workers each claim the next unlinted schema; every result
+//! carries its input index and the aggregation below
 //! walks results in corpus order, so the report — timings aside — is
 //! byte-identical for any `--jobs` value. Each job owns a private
 //! [`AutomataCache`] (per-rule DFAs are shared across the checks of one

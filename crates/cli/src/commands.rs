@@ -110,16 +110,59 @@ fn positional(args: &[String]) -> Vec<&String> {
     out
 }
 
+/// `--jobs N` (a positive integer) through [`bonxai_core::clamp_jobs`];
+/// without the flag, one worker per core.
+fn jobs_flag(args: &[String]) -> Result<usize, String> {
+    let requested = match flag_value(args, "--jobs") {
+        Some(s) => s
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or("--jobs expects a positive integer")?,
+        None => 0,
+    };
+    Ok(bonxai_core::clamp_jobs(requested))
+}
+
+/// `--fast` demands the product path that `--lockstep` turns off.
+fn check_fast_lockstep(args: &[String], opts: ValidateOptions) -> Result<(), String> {
+    if has_flag(args, "--fast") && opts.force_lockstep {
+        return Err("--fast and --lockstep are mutually exclusive".into());
+    }
+    Ok(())
+}
+
+/// `--fast` demands the one-lookup-per-node product path; refuse to
+/// run if the product exceeded its state budget. The probe compiles
+/// the schema; validation reuses it.
+fn check_fast_budget(args: &[String], s: &BonxaiSchema) -> Result<(), String> {
+    if has_flag(args, "--fast") && s.compiled().product_states().is_none() {
+        return Err("--fast: the relevance product exceeds the state budget \
+             for this schema (Theorem 9); rerun without --fast"
+            .into());
+    }
+    Ok(())
+}
+
 pub fn validate(args: &[String]) -> Result<ExitCode, String> {
     let pos = positional(args);
-    if pos.len() > 2 || has_flag(args, "--jobs") {
-        return validate_many(args, &pos);
-    }
-    let [schema_path, doc_path] = pos.as_slice() else {
-        return Err("usage: bonxai validate <schema> <document.xml>... \
-             [--jobs N] [--rules] [--matches] [--fast] [--lockstep] [--stats]"
-            .into());
+    let batch = pos.len() > 2 || has_flag(args, "--jobs");
+    let (schema_path, doc_paths) = match pos.split_first() {
+        Some((schema, docs)) if batch || docs.len() == 1 => (schema, docs),
+        None if batch => {
+            return Err(
+                "usage: bonxai validate <schema> <document.xml>... [--jobs N] [--lockstep]".into(),
+            )
+        }
+        _ => {
+            return Err("usage: bonxai validate <schema> <document.xml>... \
+                 [--jobs N] [--rules] [--matches] [--fast] [--lockstep] [--stats]"
+                .into())
+        }
     };
+    if doc_paths.is_empty() {
+        return Err("batch validation needs at least one document".into());
+    }
     let schema = load_schema(schema_path)?;
     if has_flag(args, "--stats") {
         // One compile through a session cache; the per-stage counters
@@ -144,15 +187,17 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
             println!("cache stats: (BonXai schemas only)");
         }
     }
+    if batch {
+        return validate_many(args, schema, doc_paths);
+    }
+    let doc_path = &doc_paths[0];
     let show_rules = has_flag(args, "--rules");
     let show_matches = has_flag(args, "--matches");
     let opts = ValidateOptions {
         record_matches: show_rules || show_matches,
         force_lockstep: has_flag(args, "--lockstep"),
     };
-    if has_flag(args, "--fast") && opts.force_lockstep {
-        return Err("--fast and --lockstep are mutually exclusive".into());
-    }
+    check_fast_lockstep(args, opts)?;
     if has_flag(args, "--stream") {
         return validate_stream(args, &schema, doc_path, opts);
     }
@@ -160,16 +205,7 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
 
     let valid = match &schema {
         AnySchema::Bonxai(s) => {
-            if has_flag(args, "--fast") {
-                // --fast demands the one-lookup-per-node product path;
-                // refuse to run if the product exceeded its state budget.
-                // The probe compiles the schema; validation reuses it.
-                if s.compiled().product_states().is_none() {
-                    return Err("--fast: the relevance product exceeds the state budget \
-                         for this schema (Theorem 9); rerun without --fast"
-                        .into());
-                }
-            }
+            check_fast_budget(args, s)?;
             let report = s.validate_with(&doc, opts);
             for v in report.violations() {
                 println!("violation: {}", v.kind);
@@ -254,12 +290,8 @@ fn validate_stream(
                 .into(),
         );
     }
+    check_fast_budget(args, s)?;
     let compiled = s.compiled();
-    if has_flag(args, "--fast") && compiled.product_states().is_none() {
-        return Err("--fast: the relevance product exceeds the state budget \
-             for this schema (Theorem 9); rerun without --fast"
-            .into());
-    }
     let report = if doc_path == "-" {
         let stdin = std::io::stdin();
         let mut reader = xmltree::XmlReader::from_reader(stdin.lock());
@@ -283,20 +315,16 @@ fn validate_stream(
 }
 
 /// `validate <schema> <doc.xml>... [--jobs N]`: multi-file batch mode.
-/// Every file is validated in one streaming pass on the work-stealing
-/// worker pool; per-file results are printed in input order (identical
+/// Every file is validated in one streaming pass, `--jobs` files at a
+/// time; per-file results are printed in input order (identical
 /// output for every `--jobs` value) followed by a summary line. Exit
 /// status is FAILURE if any file is invalid, unreadable, or malformed.
-fn validate_many(args: &[String], pos: &[&String]) -> Result<ExitCode, String> {
-    let [schema_path, doc_paths @ ..] = pos else {
-        return Err(
-            "usage: bonxai validate <schema> <document.xml>... [--jobs N] [--lockstep]".into(),
-        );
-    };
-    if doc_paths.is_empty() {
-        return Err("batch validation needs at least one document".into());
-    }
-    let AnySchema::Bonxai(s) = load_schema(schema_path)? else {
+fn validate_many(
+    args: &[String],
+    schema: AnySchema,
+    doc_paths: &[&String],
+) -> Result<ExitCode, String> {
+    let AnySchema::Bonxai(s) = schema else {
         return Err("batch validation supports BonXai schemas only".into());
     };
     if has_flag(args, "--rules") || has_flag(args, "--matches") {
@@ -320,27 +348,11 @@ fn validate_many(args: &[String], pos: &[&String]) -> Result<ExitCode, String> {
         record_matches: false,
         force_lockstep: has_flag(args, "--lockstep"),
     };
-    let compiled = s.compiled();
-    if has_flag(args, "--fast") {
-        if opts.force_lockstep {
-            return Err("--fast and --lockstep are mutually exclusive".into());
-        }
-        if compiled.product_states().is_none() {
-            return Err("--fast: the relevance product exceeds the state budget \
-                 for this schema (Theorem 9); rerun without --fast"
-                .into());
-        }
-    }
-    let jobs: usize = match flag_value(args, "--jobs") {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--jobs expects a positive integer")?,
-        None => bonxai_core::batch::default_jobs(),
-    };
+    check_fast_lockstep(args, opts)?;
+    check_fast_budget(args, &s)?;
+    let jobs = jobs_flag(args)?;
     let paths: Vec<&str> = doc_paths.iter().map(|p| p.as_str()).collect();
-    let reports = compiled.validate_paths(&paths, opts, jobs);
+    let reports = s.compiled().validate_paths(&paths, opts, jobs);
     let (mut n_valid, mut n_invalid, mut n_errors) = (0usize, 0usize, 0usize);
     for fr in &reports {
         match &fr.report {
@@ -692,14 +704,7 @@ pub fn diff(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|_| "--limit expects a non-negative integer")?,
         None => 10,
     };
-    let jobs = bonxai_core::clamp_jobs(match flag_value(args, "--jobs") {
-        Some(s) => s
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("--jobs expects a positive integer")?,
-        None => 0,
-    });
+    let jobs = jobs_flag(args)?;
     let opts = bonxai_core::AnalysisOptions {
         jobs,
         ..bonxai_core::AnalysisOptions::default()
@@ -846,9 +851,9 @@ fn lint_one(
 /// is nonzero when a finding reaches the --deny level (default: error).
 ///
 /// `lint <dir>` lints every `.bonxai` / `.xsd` / `.dtd` file under the
-/// directory (sorted, non-recursive) on the work-stealing pool; output
-/// is concatenated in path order and byte-identical for every `--jobs`
-/// value.
+/// directory (sorted, non-recursive), `--jobs` schemas at a time;
+/// output is concatenated in path order and byte-identical for every
+/// `--jobs` value.
 pub fn lint(args: &[String]) -> Result<ExitCode, String> {
     use bonxai_core::lint::{self, LintOptions, Severity};
     let pos = positional(args);
@@ -903,14 +908,7 @@ fn lint_dir(
     args: &[String],
 ) -> Result<ExitCode, String> {
     use bonxai_core::lint;
-    let jobs = bonxai_core::clamp_jobs(match flag_value(args, "--jobs") {
-        Some(s) => s
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("--jobs expects a positive integer")?,
-        None => 0,
-    });
+    let jobs = jobs_flag(args)?;
     let mut files: Vec<String> = fs::read_dir(dir)
         .map_err(|e| format!("cannot read {dir}: {e}"))?
         .filter_map(|entry| {

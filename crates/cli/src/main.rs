@@ -25,8 +25,8 @@ COMMANDS:
         streaming pass using O(depth) memory, never building a tree;
         the report is identical to tree validation. With several
         documents (or --jobs), a BonXai schema validates all of them
-        on a work-stealing pool of N workers (default: one per core),
-        each file streamed; per-file reports print in input order with
+        on N workers (default and maximum: one per core), each taking
+        the next unvalidated file and streaming it; per-file reports print in input order with
         a summary line, and the exit status is nonzero if any file is
         invalid, unreadable, or malformed.
 

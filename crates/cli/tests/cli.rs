@@ -49,6 +49,57 @@ fn validate_rejects_and_reports() {
 }
 
 #[test]
+fn validate_batch_reports_every_file_in_input_order() {
+    let dir = std::env::temp_dir().join("bonxai_cli_batch");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let malformed = dir.join("malformed.xml");
+    std::fs::write(&malformed, "<document><content>").expect("writes");
+    let missing = dir.join("missing.xml");
+    let _ = std::fs::remove_file(&missing);
+    let (valid, malformed, missing) = (
+        data("figure1_document.xml"),
+        malformed.to_str().expect("utf8").to_owned(),
+        missing.to_str().expect("utf8").to_owned(),
+    );
+    let schema = data("figure5.bonxai");
+    let batch = |extra: &[&str]| {
+        let mut args = vec!["validate", &schema, &missing, &valid, &malformed, &valid];
+        args.extend_from_slice(extra);
+        run(&args)
+    };
+    let one = batch(&["--jobs", "1"]);
+    assert_eq!(one.status.code(), Some(1), "{}", stdout(&one));
+    let text = stdout(&one);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 5, "{text}");
+    assert!(
+        lines[0].starts_with(&format!("{missing}: error: cannot read {missing}")),
+        "{text}"
+    );
+    assert_eq!(lines[1], format!("{valid}: valid"));
+    assert!(
+        lines[2].starts_with(&format!("{malformed}: error: ")),
+        "{text}"
+    );
+    assert_eq!(lines[3], format!("{valid}: valid"));
+    assert_eq!(lines[4], "4 files: 2 valid, 0 invalid, 2 errors");
+
+    let two = batch(&["--jobs", "2"]);
+    assert_eq!(two.status.code(), Some(1));
+    assert_eq!(stdout(&two), text);
+
+    let stats = batch(&["--stats"]);
+    assert_eq!(stats.status.code(), Some(1));
+    let stats_text = stdout(&stats);
+    let (first, rest) = stats_text.split_once('\n').expect("several lines");
+    assert!(
+        first.starts_with("cache stats (hits/misses): "),
+        "{stats_text}"
+    );
+    assert_eq!(rest, text);
+}
+
+#[test]
 fn validate_rules_mode_prints_relevant_rules() {
     let out = run(&[
         "validate",

@@ -1,31 +1,29 @@
-//! Work-stealing batch validation.
+//! Parallel batch validation.
 //!
 //! One compiled schema, many documents: the common shape of corpus
 //! validation (the paper's experiments re-validate whole document sets
-//! per schema). The engine here is a small scoped work-stealing pool:
+//! per schema). Every parallel path in the workspace — in-memory
+//! batches, file batches, `bonxai lint <dir>`, `bonxai diff --jobs` —
+//! runs through one primitive, [`map_indexed`]:
 //!
-//! * each worker owns a deque, seeded round-robin; it pops its own work
-//!   from the front and steals from the *back* of other workers' deques
-//!   when it runs dry, so a straggler document never serializes the tail
-//!   of the batch the way the old one-scoped-thread-per-chunk scheme did
-//!   (a chunk with one pathological document idled every other core);
-//! * a shared injector queue accepts jobs *streamed in* after the
-//!   workers have started — used for file-path batches, where the main
-//!   thread feeds paths while workers are already parsing;
-//! * every job carries its input index and results are sorted by it, so
-//!   reports come back in input order regardless of worker count or
-//!   scheduling — `--jobs 1` and `--jobs 8` produce identical output
-//!   (`tests/batch_determinism.rs` pins this).
+//! * `n` scoped workers share one `Mutex` around the enumerated job
+//!   iterator; each locks it, claims the next `(index, job)`, releases
+//!   the lock and runs the job. A worker claims work only when it is
+//!   free, so a straggler document never serializes the tail of the
+//!   batch: no worker idles while unclaimed work remains (the
+//!   `a_straggler_never_holds_up_unclaimed_work` test pins this).
+//!   Every job is a whole document or schema (tens of µs at least), so
+//!   one lock taken once per job has nothing to contend for;
+//! * every result carries its input index and results are sorted by
+//!   it, so reports come back in input order regardless of worker
+//!   count or scheduling — `--jobs 1` and `--jobs 8` produce identical
+//!   output (`tests/batch_determinism.rs` pins this).
 //!
 //! Workers share the compiled schema read-only; no job spawns further
-//! jobs, so a worker may exit once the injector is closed and every
-//! deque is empty (work already claimed by another worker needs no
-//! tracking — its result is on that worker's local list).
+//! jobs, so a worker exits as soon as the iterator is exhausted.
 
-use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 use xmltree::Document;
 
@@ -57,12 +55,12 @@ pub fn default_jobs() -> usize {
 
 /// Clamps a requested worker count to the cores actually available.
 ///
-/// Every pool entry point funnels through this: the workers are
-/// CPU-bound (parsing + automaton runs, no blocking I/O overlap worth
-/// speaking of), so asking for more threads than cores just adds
-/// context-switch and steal-scan overhead — `--jobs 64` on a 4-core box
-/// used to spawn 64 threads that fought over 4 cores. Zero means "pick
-/// for me" and resolves to [`default_jobs`].
+/// Every `validate_*` wrapper and every CLI `--jobs` flag funnels
+/// through this: the workers are CPU-bound (parsing + automaton runs,
+/// no blocking I/O overlap worth speaking of), so asking for more
+/// threads than cores just adds context-switch overhead — `--jobs 64`
+/// on a 4-core box used to spawn 64 threads that fought over 4 cores.
+/// Zero means "pick for me" and resolves to [`default_jobs`].
 pub fn clamp_jobs(jobs: usize) -> usize {
     let cores = default_jobs();
     if jobs == 0 {
@@ -72,12 +70,14 @@ pub fn clamp_jobs(jobs: usize) -> usize {
     }
 }
 
-/// Runs `f` over `items` on the work-stealing pool, returning results in
-/// input order — the generic primitive under batch validation, shared by
-/// the parallel lint paths. `jobs` is clamped to the item count; `jobs
-/// <= 1` maps inline on the calling thread (the deterministic baseline).
-/// Output is identical for every `jobs` value because each job carries
-/// its input index and results are sorted by it.
+/// Runs `f` over `items` on `jobs` scoped workers, returning results in
+/// input order — the one parallel primitive, under batch validation
+/// and the parallel lint and diff paths. `jobs` is clamped to the item
+/// count; `jobs <= 1` maps inline on the calling thread (the
+/// deterministic baseline). Workers claim the next unclaimed item from
+/// one shared iterator, so a slow item holds up only its own worker.
+/// Output is identical for every `jobs` value because each result
+/// carries its input index and results are sorted by it.
 ///
 /// Unlike the `validate_*` wrappers this does **not** apply
 /// [`clamp_jobs`] — callers that take a user-facing `--jobs` flag clamp
@@ -89,196 +89,86 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = jobs.min(items.len()).max(1);
-    run_pool(seed_queues(items.into_iter(), n), std::iter::empty(), f)
-}
-
-/// Jobs not yet claimed by a worker. `closed` flips once the feeder is
-/// done; workers then drain and exit.
-struct Injector<T> {
-    jobs: VecDeque<(usize, T)>,
-    closed: bool,
-}
-
-struct Shared<T> {
-    /// One deque per worker. Owner pops the front; thieves pop the back,
-    /// so contention lands on opposite ends.
-    queues: Vec<Mutex<VecDeque<(usize, T)>>>,
-    injector: Mutex<Injector<T>>,
-    /// Signalled on every injector push and on close.
-    cv: Condvar,
-}
-
-impl<T> Shared<T> {
-    fn try_claim(&self, me: usize) -> Option<(usize, T)> {
-        if let Some(job) = self.queues[me].lock().unwrap().pop_front() {
-            return Some(job);
-        }
-        if let Some(job) = self.injector.lock().unwrap().jobs.pop_front() {
-            return Some(job);
-        }
-        (0..self.queues.len())
-            .filter(|&j| j != me)
-            .find_map(|j| self.queues[j].lock().unwrap().pop_back())
-    }
-}
-
-fn worker_loop<T, R>(
-    shared: &Shared<T>,
-    me: usize,
-    f: &(impl Fn(T) -> R + Sync),
-) -> Vec<(usize, R)> {
-    let mut out = Vec::new();
-    loop {
-        if let Some((i, job)) = shared.try_claim(me) {
-            out.push((i, f(job)));
-            continue;
-        }
-        let mut inj = shared.injector.lock().unwrap();
-        if let Some((i, job)) = inj.jobs.pop_front() {
-            drop(inj);
-            out.push((i, f(job)));
-        } else if inj.closed {
-            // Deques are only filled before spawn (fixed batches) or
-            // never (streamed batches), so an all-empty scan after close
-            // is conclusive; jobs already claimed elsewhere sit on their
-            // claimer's local result list and need no tracking.
-            drop(inj);
-            if shared.queues.iter().all(|q| q.lock().unwrap().is_empty()) {
-                return out;
-            }
-        } else {
-            // Open but dry: park until the feeder pushes or closes. The
-            // timeout guards against a wakeup racing the steal scan
-            // above; correctness needs only eventual recheck.
-            let _unused = shared.cv.wait_timeout(inj, Duration::from_millis(2));
-        }
-    }
-}
-
-/// Runs `preloaded` deques plus the `feed` stream through `n` workers,
-/// returning results sorted back into input-index order.
-fn run_pool<T, R, F, I>(mut preloaded: Vec<VecDeque<(usize, T)>>, feed: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-    I: Iterator<Item = (usize, T)>,
-{
-    let n = preloaded.len();
     if n <= 1 {
-        // Single worker: no pool, no threads — the deterministic
-        // baseline the determinism test compares the pool against.
-        let mut out: Vec<(usize, R)> = preloaded
-            .pop()
-            .into_iter()
-            .flatten()
-            .chain(feed)
-            .map(|(i, t)| (i, f(t)))
-            .collect();
-        out.sort_by_key(|&(i, _)| i);
-        return out.into_iter().map(|(_, r)| r).collect();
+        return items.into_iter().map(f).collect();
     }
-    let shared = Shared {
-        queues: preloaded.into_iter().map(Mutex::new).collect(),
-        injector: Mutex::new(Injector {
-            jobs: VecDeque::new(),
-            closed: false,
-        }),
-        cv: Condvar::new(),
-    };
+    let next = Mutex::new(items.into_iter().enumerate());
     let mut out: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|me| {
-                let shared = &shared;
-                let f = &f;
-                scope.spawn(move || worker_loop(shared, me, f))
+        let workers: Vec<_> = (0..n)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard dies with this statement, so the
+                        // lock is released before `f` runs (a `while
+                        // let` would hold it for the whole loop body).
+                        let claimed = next.lock().expect("job iterators do not panic").next();
+                        let Some((i, item)) = claimed else {
+                            return done;
+                        };
+                        done.push((i, f(item)));
+                    }
+                })
             })
             .collect();
-        for job in feed {
-            let mut inj = shared.injector.lock().unwrap();
-            inj.jobs.push_back(job);
-            drop(inj);
-            shared.cv.notify_one();
-        }
-        shared.injector.lock().unwrap().closed = true;
-        shared.cv.notify_all();
-        handles
+        workers
             .into_iter()
-            .flat_map(|h| h.join().expect("validation workers do not panic"))
+            .flat_map(|w| w.join().expect("batch workers do not panic"))
             .collect()
     });
     out.sort_by_key(|&(i, _)| i);
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Distributes indexed jobs round-robin over `n` deques.
-fn seed_queues<T>(jobs: impl Iterator<Item = T>, n: usize) -> Vec<VecDeque<(usize, T)>> {
-    let mut queues: Vec<VecDeque<(usize, T)>> = (0..n).map(|_| VecDeque::new()).collect();
-    for (i, job) in jobs.enumerate() {
-        queues[i % n].push_back((i, job));
-    }
-    queues
-}
-
 impl CompiledBxsd<'_> {
-    /// Validates many in-memory documents on a work-stealing pool with
-    /// one worker per available core, preserving input order. The
-    /// compiled schema is shared read-only across workers.
+    /// Validates many in-memory documents with one worker per
+    /// available core, preserving input order. The compiled schema is
+    /// shared read-only across workers.
     pub fn validate_batch(&self, docs: &[Document], opts: ValidateOptions) -> Vec<BxsdReport> {
         self.validate_batch_with_jobs(docs, opts, default_jobs())
     }
 
-    /// [`Self::validate_batch`] with an explicit worker count. `jobs` is
-    /// clamped to the number of documents; `jobs <= 1` validates inline
-    /// on the calling thread. Reports are identical for every `jobs`
-    /// value — input order in, input order out.
+    /// [`Self::validate_batch`] with an explicit worker count, passed
+    /// through [`clamp_jobs`] and [`map_indexed`]. Reports are identical
+    /// for every `jobs` value — input order in, input order out.
     pub fn validate_batch_with_jobs(
         &self,
         docs: &[Document],
         opts: ValidateOptions,
         jobs: usize,
     ) -> Vec<BxsdReport> {
-        let n = clamp_jobs(jobs).min(docs.len()).max(1);
-        run_pool(
-            seed_queues(docs.iter(), n),
-            std::iter::empty(),
-            |doc: &Document| self.validate_with(doc, opts),
-        )
+        map_indexed(docs.iter().collect(), clamp_jobs(jobs), |doc| {
+            self.validate_with(doc, opts)
+        })
     }
 
     /// Validates many XML *files*, each in one streaming pass (O(depth)
-    /// memory per worker, never building trees). Paths are streamed into
-    /// the pool's injector, so parsing begins while the job list is
-    /// still being fed. Reports come back in input order; a file that
-    /// cannot be read or parsed yields `Err` in its [`FileReport`]
-    /// without disturbing the rest of the batch.
+    /// memory per worker, never building trees), on [`clamp_jobs`]`(jobs)`
+    /// workers. Reports come back in input order; a file that cannot be
+    /// read or parsed yields `Err` in its [`FileReport`] without
+    /// disturbing the rest of the batch.
     pub fn validate_paths<P: AsRef<Path>>(
         &self,
         paths: &[P],
         opts: ValidateOptions,
         jobs: usize,
     ) -> Vec<FileReport> {
-        let n = clamp_jobs(jobs).min(paths.len()).max(1);
-        let queues: Vec<VecDeque<(usize, &Path)>> = (0..n).map(|_| VecDeque::new()).collect();
-        run_pool(
-            queues,
-            paths.iter().map(AsRef::as_ref).enumerate(),
-            |path: &Path| {
-                let shown = path.display().to_string();
-                let report = match std::fs::File::open(path) {
-                    Err(e) => Err(format!("cannot read {shown}: {e}")),
-                    Ok(file) => {
-                        let mut reader = xmltree::XmlReader::from_reader(file);
-                        self.validate_stream_with(&mut reader, opts)
-                            .map_err(|e| e.to_string())
-                    }
-                };
-                FileReport {
-                    path: shown,
-                    report,
+        let paths: Vec<&Path> = paths.iter().map(AsRef::as_ref).collect();
+        map_indexed(paths, clamp_jobs(jobs), |path| {
+            let shown = path.display().to_string();
+            let report = match std::fs::File::open(path) {
+                Err(e) => Err(format!("cannot read {shown}: {e}")),
+                Ok(file) => {
+                    let mut reader = xmltree::XmlReader::from_reader(file);
+                    self.validate_stream_with(&mut reader, opts)
+                        .map_err(|e| e.to_string())
                 }
-            },
-        )
+            };
+            FileReport {
+                path: shown,
+                report,
+            }
+        })
     }
 }
 
@@ -327,6 +217,32 @@ mod tests {
                 assert_eq!(b.violations, s.violations, "jobs={jobs}");
             }
         }
+    }
+
+    #[test]
+    fn a_straggler_never_holds_up_unclaimed_work() {
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+        // Job 0 finishes only once the other 63 have, so the second
+        // worker must run all of them; a scheduler that hands each
+        // worker a fixed share up front times out here.
+        let (done, finished) = mpsc::channel();
+        let finished = Mutex::new(finished);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let results = map_indexed((0..64).collect(), 2, |i: usize| {
+            if i > 0 {
+                done.send(()).expect("the receiver outlives the batch");
+                return (i, true);
+            }
+            let finished = finished.lock().expect("only job 0 locks it");
+            let saw_the_rest = (1..64).all(|_| {
+                let left = deadline.saturating_duration_since(Instant::now());
+                finished.recv_timeout(left).is_ok()
+            });
+            (0, saw_the_rest)
+        });
+        let expected: Vec<_> = (0..64).map(|i| (i, true)).collect();
+        assert_eq!(results, expected);
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl Bxsd {
     /// largest `i` with `anc_str ∈ L(ri)` — `None` if no rule matches.
     ///
     /// This is the reference implementation (derivative-based matching per
-    /// rule); the compiled validator in [`crate::validate`] is the fast
+    /// rule); the compiled validator in [`crate::validate`](mod@crate::validate) is the fast
     /// path.
     pub fn relevant_rule(&self, anc_str: &[Sym]) -> Option<usize> {
         self.rules

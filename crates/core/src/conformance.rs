@@ -1,7 +1,7 @@
 //! The differential conformance harness: one input, every validation
 //! path, one verdict.
 //!
-//! The repo's fast validators ([`crate::validate`]) share automata
+//! The repo's fast validators ([`crate::validate`](mod@crate::validate)) share automata
 //! machinery — Glushkov construction, DFA determinization, the
 //! relevance product, per-schema caches. A bug in that machinery can
 //! make *all* of them agree on a wrong answer. The [`crate::oracle`]

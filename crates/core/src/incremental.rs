@@ -1,7 +1,7 @@
 //! Incremental revalidation: cost proportional to the edit, not the
 //! document.
 //!
-//! Validation ([`crate::validate`]) is a deterministic top-down walk
+//! Validation ([`crate::validate`](mod@crate::validate)) is a deterministic top-down walk
 //! over the tree. Each element's *pass* — its frame push and pop in the
 //! validator's sink, with the parent steps of its children in between —
 //! derives the relevant rule from the element's ancestor product state,

@@ -7,14 +7,15 @@
 //! * [`bxsd`] — the formal core (Definition 1): ordered rules
 //!   `ancestor-regex → deterministic content model` with priority
 //!   semantics;
-//! * [`validate`] — document validation with matched-rule reporting;
+//! * [`validate`](mod@validate) — document validation with matched-rule reporting;
 //! * [`oracle`] — the deliberately-slow reference interpreter the fast
 //!   paths are differentially tested against;
 //! * [`conformance`] — the differential driver that runs one input
 //!   through every validation path × lexer engine and reports any
 //!   disagreement with the oracle as a bug;
-//! * [`batch`] — work-stealing multi-document validation (in-memory
-//!   trees or streamed files), deterministic in input order;
+//! * [`batch`] — parallel multi-document validation (in-memory trees
+//!   or streamed files) on one claim-next-job map, deterministic in
+//!   input order;
 //! * [`incremental`] — persistent [`incremental::ValidationState`] +
 //!   [`CompiledBxsd::revalidate`]: replay an edit log instead of
 //!   revalidating the whole document;

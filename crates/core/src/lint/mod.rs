@@ -247,7 +247,7 @@ pub fn lint_source(source: &str, opts: &LintOptions) -> Result<LintReport, LangE
     Ok(lint_ast(&ast, opts))
 }
 
-/// [`lint_source`] with a caller-owned [`AutomataCache`], so the
+/// [`lint_source`] with a caller-owned [`relang::AutomataCache`], so the
 /// semantic checks share per-rule DFAs (and a corpus driver can reuse
 /// the cache across schemas that repeat ancestor patterns).
 pub fn lint_source_with(

@@ -3,7 +3,7 @@
 //!
 //! Everything here is written for auditability, not speed, and shares
 //! only the *AST* (`Bxsd`, `Regex`, `ContentModel`) with the production
-//! validators in [`crate::validate`]:
+//! validators in [`crate::validate`](mod@crate::validate):
 //!
 //! * regex matching is a **direct Glushkov NFA simulation** — positions,
 //!   `first`/`last`/`follow` computed by the textbook structural

@@ -20,7 +20,7 @@
 //!
 //! Unlike [`super::product`], the construction here works directly on
 //! *partial* component DFAs: each component carries an implicit dead
-//! state (sentinel [`DEAD_COMPONENT`]) and the all-dead tuple is interned
+//! state (sentinel `DEAD_COMPONENT`) and the all-dead tuple is interned
 //! unconditionally so callers can park unmatchable subtrees on it.
 
 use crate::alphabet::Sym;

@@ -1,6 +1,6 @@
 //! Stage 1 of the two-stage lexer: the SIMD structural-index pass.
 //!
-//! [`classify`] scans a chunk of input bytes **once** and appends to a
+//! `classify` scans a chunk of input bytes **once** and appends to a
 //! compact index every *structural* position — the six byte values the
 //! token layer dispatches on (`<`, `>`, `"`, `'`, `&`, `]`) — plus every
 //! newline (for line/column accounting) and whether the chunk was pure

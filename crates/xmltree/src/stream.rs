@@ -15,7 +15,7 @@
 //! * lexing is **two-stage** (simdjson-style): stage 1
 //!   ([`crate::simd`]) scans each buffer chunk once with SIMD compare
 //!   lanes (SSE2/NEON, runtime-dispatched) and records a compact
-//!   [`StructIdx`] of structural positions (`<`, `>`, `"`, `'`, `&`,
+//!   `StructIdx` of structural positions (`<`, `>`, `"`, `'`, `&`,
 //!   `]`), newline offsets, and a batched UTF-8 validity watermark;
 //!   stage 2 (this module's token layer) walks the index — a text run
 //!   ends at the next `<`/`&` mark, a tag extent is the next unquoted
@@ -49,7 +49,7 @@
 //!   arbitrarily large documents arriving from a file or socket are
 //!   consumed in O(window + depth) memory. The window compacts its
 //!   consumed prefix only past a threshold (not on every refill), and the
-//!   reader bounds any single token to [`XmlReader::max_token`] bytes so
+//!   reader bounds any single token to `XmlReader::max_token` bytes so
 //!   the window cannot grow without limit on adversarial input.
 //!
 //! Character data is coalesced exactly as the tree parser merges text
@@ -519,7 +519,7 @@ pub struct IoSrc<R: Read> {
 
 impl<R: Read> IoSrc<R> {
     /// Wraps a reader. No buffering layer is needed underneath; the
-    /// source reads in [`IO_CHUNK`]-sized chunks.
+    /// source reads in `IO_CHUNK`-sized chunks.
     pub fn new(src: R) -> Self {
         IoSrc {
             src,
@@ -1525,7 +1525,7 @@ impl<S: ByteSrc> XmlReader<S> {
     ///
     /// With the structural index active, the common content-stage cycle
     /// (start tag / end tag / plain text / comment / PI) is stepped
-    /// directly off the [`StructIdx`] marks: no [`XmlToken`] is built, no
+    /// directly off the `StructIdx` marks: no [`XmlToken`] is built, no
     /// `Position` is computed, end-tag names stay as [`NameId`]s, and
     /// text is materialized only to the degree the sink's
     /// [`TextInterest`] requires. Anything irregular — entities, CDATA

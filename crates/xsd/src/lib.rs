@@ -8,7 +8,7 @@
 //!   representation; UPA is checked on assembly);
 //! * [`dfa_xsd::DfaXsd`] — Definition 3: DFA-based XSDs, the intermediate
 //!   representation of all four translation algorithms;
-//! * [`validate`] — top-down unique typing of documents;
+//! * [`validate`](mod@validate) — top-down unique typing of documents;
 //! * [`minimize`] — type minimization (adaptation of Martens & Niehren);
 //! * [`ksuffix`] — Definition 10: is a schema k-suffix?
 //! * [`syntax`] — reading and writing actual `<xs:schema>` XML;

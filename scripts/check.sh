@@ -2,8 +2,9 @@
 # The tier-1 gate: release build, the test suites of every workspace
 # crate plus the perfbench harness's own tests, a warning-free
 # clippy pass over every target in the workspace (vendor stand-ins
-# included), canonical formatting, the reader differential suite under
-# both lexer engines (detected SIMD and forced scalar), a parse-only
+# included), canonical formatting, warning-free rustdoc, the reader
+# differential suite under both lexer engines (detected SIMD and
+# forced scalar), a parse-only
 # front-end microbench as a smoke check that the zero-copy reader
 # still runs under both engines, every example program, and the
 # lint-corpus and diff-corpus golden checks (every seeded-defect
@@ -18,6 +19,9 @@ cargo test -q --workspace
 cargo test --release --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
+# Rustdoc: every intra-doc link must resolve (and none may point at a
+# private item), so docs naming deleted code cannot land.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Reader differential suite twice: once with the detected SIMD lexer
 # engine, once with the structural-index pass disabled, so the scalar
 # fallback path stays exercised on hardware where SIMD is available.

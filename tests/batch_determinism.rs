@@ -1,11 +1,11 @@
-//! Determinism of the work-stealing batch engine: the per-file reports
+//! Determinism of the parallel batch engine: the per-file reports
 //! of `validate_paths` (the engine behind `bonxai validate --jobs N
 //! <file>...`) must be byte-identical for every worker count and must
 //! not depend on submission order — scheduling may interleave workers
 //! arbitrarily, but each job carries its input index and results are
 //! sorted back, so the observable output is a pure function of the
 //! inputs. The corpus deliberately mixes valid, invalid, malformed, and
-//! missing files of very different sizes so the deques actually steal.
+//! missing files of very different sizes so workers finish out of order.
 
 use std::fs;
 use std::path::PathBuf;

@@ -2,7 +2,7 @@
 //! reports of a schema corpus through `map_indexed` (the engine behind
 //! `bonxai lint <dir> --jobs N` and `exp_lint --jobs N`) must be
 //! byte-identical to the sequential baseline for every worker count —
-//! the work-stealing pool may interleave schemas arbitrarily, but every
+//! the workers may interleave schemas arbitrarily, but every
 //! job carries its input index and results come back in input order.
 //! Shuffling the submission order must permute the output the same way
 //! and change nothing else.
@@ -14,7 +14,7 @@ use bonxai::relang::AutomataCache;
 /// A small corpus exercising every semantic check: dead rules (BX001),
 /// unreachable rules (BX002), UPA (BX003), vacuous content (BX004),
 /// unconstrained elements (BX006), and clean schemas of varying size so
-/// the deques actually steal.
+/// workers finish out of order.
 fn corpus() -> Vec<(String, String)> {
     let mut schemas = vec![
         (
