@@ -10,8 +10,7 @@
 //! so kernel rewrites and the memo cache can be attributed per stage.
 //!
 //! Flags: `--json` for machine-readable output, `--smoke` to run a small
-//! prefix of the corpus as a CI liveness check, `--no-cache` to ablate
-//! the `AutomataCache` (every stage rebuilds from scratch).
+//! prefix of the corpus as a CI liveness check.
 
 use bonxai_bench::{print_table, timed};
 use bonxai_core::lang::lift;
@@ -48,7 +47,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
 
     let mut corpus = web_corpus(2015);
     if smoke {
@@ -71,7 +69,7 @@ fn main() {
         let mut st = Stages::default();
 
         // A fresh per-schema cache, exactly as the compile pipeline uses
-        // it; `--no-cache` threads `None` everywhere instead.
+        // it.
         let mut cache = AutomataCache::new();
 
         // Stage 1: subset construction (raw per-rule ancestor DFAs).
@@ -92,13 +90,7 @@ fn main() {
         st.product = ms;
 
         // Stage 4: end-to-end compile (what `bonxai validate` pays).
-        let (_c, ms) = timed(|| {
-            if no_cache {
-                CompiledBxsd::new(bxsd)
-            } else {
-                CompiledBxsd::with_cache(bxsd, DEFAULT_PRODUCT_BUDGET, &mut cache)
-            }
-        });
+        let (_c, ms) = timed(|| CompiledBxsd::with_cache(bxsd, DEFAULT_PRODUCT_BUDGET, &mut cache));
         st.compile = ms;
 
         // Stage 5: translation to XSD (fast path or Algorithm 3).
@@ -107,10 +99,7 @@ fn main() {
 
         // Stage 6: the full lint pass.
         let ast = lift(bxsd);
-        let (_r, ms) = timed(|| {
-            let c = if no_cache { None } else { Some(&mut cache) };
-            lint_ast_with(&ast, &lint_opts, c)
-        });
+        let (_r, ms) = timed(|| lint_ast_with(&ast, &lint_opts, &mut cache));
         st.lint = ms;
 
         cache_total.add(cache.stats());
@@ -140,7 +129,6 @@ fn main() {
         println!("{{");
         println!("  \"experiment\": \"compile_stages\",");
         println!("  \"schemas\": {},", rows.len());
-        println!("  \"cache\": {},", !no_cache);
         println!(
             "  \"total_ms\": {{ \"subset\": {:.2}, \"minimize\": {:.2}, \"product\": {:.2}, \
              \"compile\": {:.2}, \"translate\": {:.2}, \"lint\": {:.2} }},",
@@ -198,9 +186,8 @@ fn main() {
         .collect();
     print_table(
         &format!(
-            "E16 — compile stages over web_corpus(2015){}{}",
-            if smoke { " [smoke]" } else { "" },
-            if no_cache { " [cache off]" } else { "" }
+            "E16 — compile stages over web_corpus(2015){}",
+            if smoke { " [smoke]" } else { "" }
         ),
         &[
             "class",

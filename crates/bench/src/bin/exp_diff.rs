@@ -11,9 +11,8 @@
 //! (space build vs pair comparison), verdict mix, and witness counts.
 //!
 //! Run with `--json` for machine-readable output, `--smoke` for a small
-//! CI-sized corpus, `--jobs N` for the per-pair comparison worker count,
-//! and `--no-cache` to disable the shared [`AutomataCache`] (the
-//! cached/uncached delta is the point of the BENCH_diff.json ablation).
+//! CI-sized corpus, and `--jobs N` for the per-pair comparison worker
+//! count. Every pair runs through one shared [`AutomataCache`].
 //!
 //! Pairs run sequentially (each diff parallelizes internally via
 //! `core::batch`); the report — timings aside — is byte-identical for
@@ -28,7 +27,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
     let jobs = clamp_jobs(
         args.iter()
             .position(|a| a == "--jobs")
@@ -48,9 +46,8 @@ fn main() {
     //  hits, misses), in corpus order.
     let mut rows = Vec::new();
     for pair in &corpus {
-        let cache_opt = (!no_cache).then_some(&mut cache);
         let (report, ms) =
-            timed(|| diff_bxsd(&pair.a, &pair.b, &opts, cache_opt).expect("diff within budget"));
+            timed(|| diff_bxsd(&pair.a, &pair.b, &opts, &mut cache).expect("diff within budget"));
         assert!(
             pair.perturbed || report.evolution == Evolution::Equivalent,
             "identical pair {} must diff equivalent",
@@ -91,7 +88,6 @@ fn main() {
         println!("{{");
         println!("  \"experiment\": \"diff_pairs\",");
         println!("  \"pairs\": {},", rows.len());
-        println!("  \"cache\": {},", !no_cache);
         println!("  \"jobs\": {jobs},");
         println!("  \"total_ms\": {total_ms:.2},");
         println!("  \"build_ms\": {build_ms:.2},");
@@ -141,10 +137,7 @@ fn main() {
         rows.len()
     );
     println!("witnesses: {witnesses} verified, joint contexts: {joint_pairs}");
-    println!(
-        "automata cache: {} ({hits} hits / {misses} misses)",
-        if no_cache { "off" } else { "on" }
-    );
+    println!("automata cache: {hits} hits / {misses} misses");
     for (v, n) in &verdict_counts {
         println!("  {:<22} {n}", v.as_str());
     }

@@ -48,7 +48,7 @@ fn main() {
         map_indexed(corpus.iter().collect(), jobs, |entry| {
             let ast = lift(&entry.bxsd);
             let mut cache = AutomataCache::new();
-            let (report, ms) = timed(|| lint_ast_with(&ast, &opts, Some(&mut cache)));
+            let (report, ms) = timed(|| lint_ast_with(&ast, &opts, &mut cache));
             (entry.k, entry.bxsd.size(), ms, report)
         });
 

@@ -165,13 +165,11 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
     }
     let schema = load_schema(schema_path)?;
     if has_flag(args, "--stats") {
-        // One compile through a session cache; the per-stage counters
-        // show what the structural-hash memo shared within the compile
-        // (misses = constructions actually run).
+        // The counters of the one compile validation then reuses: what
+        // the structural-hash memo shared within it (misses =
+        // constructions actually run).
         if let AnySchema::Bonxai(s) = &schema {
-            let mut session = pipeline::SchemaCompiler::new();
-            let _ = session.compile(&s.bxsd);
-            let st = session.last_stats();
+            let st = s.compiled().cache_stats();
             println!(
                 "cache stats (hits/misses): raw {}/{}  min {}/{}  product {}/{}  content {}/{}",
                 st.raw.hits,
@@ -215,8 +213,9 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
             }
             if show_rules {
                 println!("--- relevant rules ---");
-                for node in doc.iter_elements() {
-                    let m = &report.structure.matches[&node];
+                // Node ids are document order; a rejected root records
+                // no matches.
+                for (&node, m) in &report.structure.matches {
                     let rule = m
                         .relevant
                         .map(|i| s.ast.rules[s.rule_source[i]].pattern.source.clone())
@@ -226,8 +225,7 @@ pub fn validate(args: &[String]) -> Result<ExitCode, String> {
             }
             if show_matches {
                 println!("--- matching rules ---");
-                for node in doc.iter_elements() {
-                    let m = &report.structure.matches[&node];
+                for (&node, m) in &report.structure.matches {
                     let list = m
                         .matching
                         .iter()
@@ -687,7 +685,7 @@ pub fn diff(args: &[String]) -> Result<ExitCode, String> {
     let [a_path, b_path] = pos.as_slice() else {
         return Err(
             "usage: bonxai diff <schema1> <schema2> [--format text|json] [--limit N] \
-             [--jobs N] [--no-cache] [--root <name>]"
+             [--jobs N] [--root <name>]"
                 .into(),
         );
     };
@@ -709,9 +707,8 @@ pub fn diff(args: &[String]) -> Result<ExitCode, String> {
         jobs,
         ..bonxai_core::AnalysisOptions::default()
     };
-    let mut cache = relang::AutomataCache::new();
-    let cache = (!has_flag(args, "--no-cache")).then_some(&mut cache);
-    let report = bonxai_core::diff_bxsd(&a, &b, &opts, cache).map_err(|e| e.to_string())?;
+    let report = bonxai_core::diff_bxsd(&a, &b, &opts, &mut relang::AutomataCache::new())
+        .map_err(|e| e.to_string())?;
     let rendered = if format == "json" {
         render_diff_json(a_path, b_path, &report, limit)
     } else {
@@ -736,11 +733,10 @@ pub fn sat(args: &[String]) -> Result<ExitCode, String> {
     };
     let dtd_root = flag_value(args, "--root");
     let bxsd = to_bxsd(load_schema(schema_path)?, dtd_root.as_deref())?;
-    let mut cache = relang::AutomataCache::new();
     let report = bonxai_core::analyze_sat(
         &bxsd,
         &bonxai_core::AnalysisOptions::default(),
-        Some(&mut cache),
+        &mut relang::AutomataCache::new(),
     )
     .map_err(|e| e.to_string())?;
     for u in &report.unsat_rules {
@@ -818,18 +814,16 @@ pub fn check(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Lints one schema file, sharing `cache` across the semantic checks.
+/// Lints one schema file; its semantic checks share one automata cache.
 fn lint_one(
     schema_path: &str,
     opts: &bonxai_core::lint::LintOptions,
-    cache: &mut relang::AutomataCache,
 ) -> Result<bonxai_core::lint::LintReport, String> {
     use bonxai_core::lint;
     let text =
         fs::read_to_string(schema_path).map_err(|e| format!("cannot read {schema_path}: {e}"))?;
     match detect_kind(schema_path, &text) {
-        "bonxai" => lint::lint_source_with(&text, opts, Some(cache))
-            .map_err(|e| format!("{schema_path}: {e}")),
+        "bonxai" => lint::lint_source(&text, opts).map_err(|e| format!("{schema_path}: {e}")),
         "xsd" => {
             let x = xsd::parse_xsd_unchecked(&text).map_err(|e| format!("{schema_path}: {e}"))?;
             Ok(lint::lint_xsd(&x, opts))
@@ -840,7 +834,7 @@ fn lint_one(
             let d = xmltree::dtd::parse_dtd(&text).map_err(|e| format!("{schema_path}: {e}"))?;
             let roots: Vec<&str> = d.elements.keys().map(String::as_str).collect();
             let s = dtd_import::dtd_to_bonxai(&d, &roots).map_err(|e| e.to_string())?;
-            Ok(lint::lint_ast_with(&s.ast, opts, Some(cache)))
+            Ok(lint::lint_ast(&s.ast, opts))
         }
     }
 }
@@ -882,8 +876,7 @@ pub fn lint(args: &[String]) -> Result<ExitCode, String> {
     {
         return lint_dir(schema_path, &format, deny, &opts, args);
     }
-    let mut cache = relang::AutomataCache::new();
-    let report = lint_one(schema_path, &opts, &mut cache)?;
+    let report = lint_one(schema_path, &opts)?;
     match format.as_str() {
         "json" => print!("{}", lint::render_json(&report, schema_path)),
         _ => print!("{}", lint::render_text(&report, schema_path)),
@@ -896,7 +889,7 @@ pub fn lint(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Multi-schema lint: every schema in `dir`, analyzed in parallel on the
-/// batch pool. Each worker job owns its own [`relang::AutomataCache`]
+/// batch pool. Each schema's lint owns its own [`relang::AutomataCache`]
 /// (shared DFAs within a schema; the cache is not `Sync` by design), and
 /// rendering happens on the calling thread in path order, so the bytes
 /// printed are independent of worker count and scheduling.
@@ -927,8 +920,7 @@ fn lint_dir(
     }
     let results: Vec<(String, Result<lint::LintReport, String>)> =
         bonxai_core::map_indexed(files, jobs, |path| {
-            let mut cache = relang::AutomataCache::new();
-            let report = lint_one(&path, opts, &mut cache);
+            let report = lint_one(&path, opts);
             (path, report)
         });
     let mut failed = false;

@@ -41,7 +41,7 @@ COMMANDS:
         declare them).
 
     diff <schema1> <schema2> [--format text|json] [--limit N] [--jobs N]
-         [--no-cache] [--root <name>]
+         [--root <name>]
         Decide whether two schemas (any mix of .bonxai/.xsd/.dtd) accept
         the same documents. Differences are reported as complete witness
         documents, each verified to validate against exactly one of the
@@ -113,7 +113,6 @@ OPTIONS:
     --deny L     (lint) fail at this severity: note, warning, error
     --notes      (lint) include note-level advisories
     --limit N    (diff) show at most N witnesses (default 10)
-    --no-cache   (diff) disable the shared automata cache
 ";
 
 fn main() -> ExitCode {

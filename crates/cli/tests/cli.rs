@@ -340,3 +340,49 @@ fn diff_decides_equivalence() {
     assert!(text.contains("forward_compatible"), "{text}");
     assert!(text.contains("xs:integer"), "{text}");
 }
+
+#[test]
+fn validate_rule_listings_survive_a_rejected_root() {
+    // `entry` is declared but is not a start element: the root is
+    // rejected and no element records rule matches.
+    let doc = data("conformance/atom/invalid_4.xml");
+    let schema = data("conformance/atom/schema.bonxai");
+    for (flag, header) in [
+        ("--rules", "--- relevant rules ---"),
+        ("--matches", "--- matching rules ---"),
+    ] {
+        let out = run(&["validate", &schema, &doc, flag]);
+        let text = stdout(&out);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {text}");
+        assert_eq!(
+            text,
+            format!(
+                "violation: root element <entry> is not a declared start element\n\
+                 {header}\nINVALID\n"
+            ),
+            "{flag}"
+        );
+        assert!(
+            !String::from_utf8_lossy(&out.stderr).contains("panicked"),
+            "{flag}"
+        );
+    }
+}
+
+#[test]
+fn validate_stats_prints_the_counters_of_the_compile_that_ran() {
+    const LINE: &str = "cache stats (hits/misses): raw 14/14  min 0/0  product 0/1  content 5/9\n";
+    let (schema, doc) = (data("figure5.bonxai"), data("figure1_document.xml"));
+    let single = run(&["validate", &schema, &doc, "--stats"]);
+    assert_eq!(single.status.code(), Some(0));
+    assert_eq!(stdout(&single), format!("{LINE}valid\n"));
+    let stream = run(&["validate", &schema, &doc, "--stats", "--stream"]);
+    assert_eq!(stream.status.code(), Some(0));
+    assert_eq!(stdout(&stream), format!("{LINE}valid\n"));
+    let batch = run(&["validate", &schema, &doc, &doc, "--stats"]);
+    assert_eq!(batch.status.code(), Some(0));
+    assert_eq!(
+        stdout(&batch),
+        format!("{LINE}{doc}: valid\n{doc}: valid\n2 files: 2 valid, 0 invalid, 0 errors\n")
+    );
+}

@@ -39,10 +39,10 @@
 //! is always sound while an `equivalent` verdict is exact up to those
 //! probes.
 //!
-//! All automata constructions thread an optional [`AutomataCache`], and
-//! the per-context comparisons run on [`map_indexed`] with
-//! deterministic, path-ordered output: reports are byte-identical for
-//! every worker count.
+//! All automata constructions go through the caller's
+//! [`AutomataCache`], and the per-context comparisons run on
+//! [`map_indexed`] with deterministic, path-ordered output: reports are
+//! byte-identical for every worker count.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -51,7 +51,6 @@ use std::time::Instant;
 
 use relang::cache::AutomataCache;
 use relang::ops::language::{difference_witness_dfa, regex_to_dfa};
-use relang::ops::minimize;
 use relang::ops::product::product2;
 use relang::ops::subset::SubsetInterner;
 use relang::{Alphabet, Dfa, Regex, Sym};
@@ -61,7 +60,7 @@ use xsd::{AttributeUse, ContentModel, SimpleType};
 
 use crate::batch::map_indexed;
 use crate::bxsd::{Bxsd, Rule};
-use crate::validate::{CompiledBxsd, ValidateOptions};
+use crate::validate::{CompiledBxsd, ValidateOptions, DEFAULT_PRODUCT_BUDGET};
 
 /// Sentinel for "no context": a child symbol the exploration never took.
 const NO_CTX: u32 = u32::MAX;
@@ -224,9 +223,9 @@ pub struct DiffStats {
     /// Witness candidates that failed cross-validation and were dropped
     /// (probe artifacts); nonzero values are surfaced, never hidden.
     pub dropped: usize,
-    /// Automata-cache hits during this run (0 without a cache).
+    /// Automata-cache hits during this run.
     pub cache_hits: u64,
-    /// Automata-cache misses during this run (0 without a cache).
+    /// Automata-cache misses during this run.
     pub cache_misses: u64,
     /// Wall-clock µs building the two context spaces (bench only).
     pub build_us: u64,
@@ -284,32 +283,6 @@ pub struct SatReport {
 }
 
 // ---------------------------------------------------------------------
-// Cache plumbing
-// ---------------------------------------------------------------------
-
-/// Automata construction through an optional shared [`AutomataCache`] —
-/// the same dispatch the lint checks use.
-struct Automata<'a> {
-    cache: Option<&'a mut AutomataCache>,
-}
-
-impl Automata<'_> {
-    fn raw_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
-        match self.cache.as_deref_mut() {
-            Some(c) => c.raw_dfa(r, n_syms),
-            None => Arc::new(regex_to_dfa(r, n_syms)),
-        }
-    }
-
-    fn min_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
-        match self.cache.as_deref_mut() {
-            Some(c) => c.min_dfa(r, n_syms),
-            None => Arc::new(minimize(&regex_to_dfa(r, n_syms))),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Node semantics: what a rule's content model means for one node
 // ---------------------------------------------------------------------
 
@@ -356,13 +329,13 @@ fn text_spec(content: &ContentModel) -> TextSpec {
     }
 }
 
-fn rule_info(rule: &Rule, n_syms: usize, auto: &mut Automata) -> RuleInfo {
+fn rule_info(rule: &Rule, n_syms: usize, cache: &mut AutomataCache) -> RuleInfo {
     let content = &rule.content;
     let children = if content.simple_content.is_some() {
         // Simple content admits no element children at all.
         Arc::new(complete_clone(&regex_to_dfa(&Regex::Epsilon, n_syms)))
     } else {
-        Arc::new(complete_clone(&auto.raw_dfa(&content.regex, n_syms)))
+        Arc::new(complete_clone(&cache.raw_dfa(&content.regex, n_syms)))
     };
     let child_syms: Vec<Sym> = if content.simple_content.is_some() {
         Vec::new()
@@ -471,18 +444,18 @@ impl SchemaSpace {
         n_syms: usize,
         own_syms: Vec<Sym>,
         budget: usize,
-        auto: &mut Automata,
+        cache: &mut AutomataCache,
     ) -> Result<SchemaSpace, AnalysisError> {
         let n_rules = bxsd.rules.len();
         let anc: Vec<Arc<Dfa>> = bxsd
             .rules
             .iter()
-            .map(|r| auto.min_dfa(&r.ancestor, n_syms))
+            .map(|r| cache.min_dfa(&r.ancestor, n_syms))
             .collect();
         let mut rules: Vec<RuleInfo> = bxsd
             .rules
             .iter()
-            .map(|r| rule_info(r, n_syms, auto))
+            .map(|r| rule_info(r, n_syms, cache))
             .collect();
         // Open models explore every own symbol, whatever their regex
         // (the validator accepts only own names even under `open`).
@@ -1372,9 +1345,9 @@ pub fn diff_bxsd(
     a: &Bxsd,
     b: &Bxsd,
     opts: &AnalysisOptions,
-    mut cache: Option<&mut AutomataCache>,
+    cache: &mut AutomataCache,
 ) -> Result<DiffReport, AnalysisError> {
-    let stats_before = cache.as_deref().map(|c| c.stats());
+    let stats_before = cache.stats();
     let t0 = Instant::now();
 
     // One shared alphabet: the first schema's names, then the second's.
@@ -1388,17 +1361,14 @@ pub fn diff_bxsd(
     let n = shared.len();
     let (ra, own_a) = remap_bxsd(a, &shared);
     let (rb, own_b) = remap_bxsd(b, &shared);
-    let mut auto = Automata {
-        cache: cache.as_deref_mut(),
-    };
-    let space_a = SchemaSpace::build(&ra, n, own_a, opts.ctx_budget, &mut auto)?;
-    let space_b = SchemaSpace::build(&rb, n, own_b, opts.ctx_budget, &mut auto)?;
+    let space_a = SchemaSpace::build(&ra, n, own_a, opts.ctx_budget, cache)?;
+    let space_b = SchemaSpace::build(&rb, n, own_b, opts.ctx_budget, cache)?;
     let build_us = t0.elapsed().as_micros() as u64;
 
     // Witness verification runs against the *original* schemas — the
     // remapped ones share an alphabet and would not flag foreign names.
-    let compiled_a = CompiledBxsd::new(a);
-    let compiled_b = CompiledBxsd::new(b);
+    let compiled_a = CompiledBxsd::with_cache(a, DEFAULT_PRODUCT_BUDGET, cache);
+    let compiled_b = CompiledBxsd::with_cache(b, DEFAULT_PRODUCT_BUDGET, cache);
 
     let t1 = Instant::now();
     let ab = DirectionPass {
@@ -1430,13 +1400,7 @@ pub fn diff_bxsd(
     };
     let mut witnesses = wit_a;
     witnesses.extend(wit_b);
-    let (cache_hits, cache_misses) = match (stats_before, cache.as_deref().map(|c| c.stats())) {
-        (Some(before), Some(after)) => {
-            let d = after.since(before);
-            (d.hits(), d.misses())
-        }
-        _ => (0, 0),
-    };
+    let cache_stats = cache.stats().since(stats_before);
     Ok(DiffReport {
         evolution,
         a_only,
@@ -1447,8 +1411,8 @@ pub fn diff_bxsd(
             contexts_b: space_b.ctxs.len(),
             pairs: pairs_a + pairs_b,
             dropped: drop_a + drop_b,
-            cache_hits,
-            cache_misses,
+            cache_hits: cache_stats.hits(),
+            cache_misses: cache_stats.misses(),
             build_us,
             explore_us: 0, // folded into compare (the BFS feeds it directly)
             compare_us,
@@ -1462,12 +1426,11 @@ pub fn diff_bxsd(
 pub fn analyze_sat(
     bxsd: &Bxsd,
     opts: &AnalysisOptions,
-    cache: Option<&mut AutomataCache>,
+    cache: &mut AutomataCache,
 ) -> Result<SatReport, AnalysisError> {
     let n = bxsd.ename.len();
     let own: Vec<Sym> = bxsd.ename.symbols().collect();
-    let mut auto = Automata { cache };
-    let space = SchemaSpace::build(bxsd, n, own, opts.ctx_budget, &mut auto)?;
+    let space = SchemaSpace::build(bxsd, n, own, opts.ctx_budget, cache)?;
     let witness = space
         .roots
         .iter()
@@ -1513,7 +1476,7 @@ fn unsat_rules(space: &SchemaSpace, names: &Alphabet) -> Vec<UnsatRule> {
 pub(crate) fn unsatisfiable_rule_contexts(
     bxsd: &Bxsd,
     budget: usize,
-    cache: Option<&mut AutomataCache>,
+    cache: &mut AutomataCache,
 ) -> Result<Vec<UnsatRule>, AnalysisError> {
     let opts = AnalysisOptions {
         ctx_budget: budget,
@@ -1533,11 +1496,19 @@ mod tests {
         crate::lang::lower::lower(&ast).expect("schema lowers").bxsd
     }
 
+    fn diff(a: &Bxsd, b: &Bxsd) -> DiffReport {
+        diff_bxsd(a, b, &AnalysisOptions::default(), &mut AutomataCache::new()).unwrap()
+    }
+
+    fn sat(bxsd: &Bxsd) -> SatReport {
+        analyze_sat(bxsd, &AnalysisOptions::default(), &mut AutomataCache::new()).unwrap()
+    }
+
     #[test]
     fn identical_schemas_are_equivalent() {
         let a = parse("global { doc } grammar { doc = { element a, element b? } a = { } b = { } }");
         let b = a.clone();
-        let r = diff_bxsd(&a, &b, &AnalysisOptions::default(), None).unwrap();
+        let r = diff(&a, &b);
         assert!(r.equivalent(), "{r:?}");
         assert!(r.witnesses.is_empty());
         assert_eq!(r.stats.dropped, 0);
@@ -1547,7 +1518,7 @@ mod tests {
     fn widened_children_is_detected_with_verified_witness() {
         let a = parse("global { doc } grammar { doc = { element a, element b? } a = { } b = { } }");
         let b = parse("global { doc } grammar { doc = { element a } a = { } }");
-        let r = diff_bxsd(&a, &b, &AnalysisOptions::default(), None).unwrap();
+        let r = diff(&a, &b);
         assert_eq!(r.evolution, Evolution::ForwardCompatible, "{r:?}");
         assert!(r.a_only > 0 && r.b_only == 0);
         let w = &r.witnesses[0];
@@ -1556,7 +1527,7 @@ mod tests {
         assert!(is_valid(&a, &doc));
         assert!(!is_valid(&b, &doc));
         // And the reverse direction flips the classification.
-        let rev = diff_bxsd(&b, &a, &AnalysisOptions::default(), None).unwrap();
+        let rev = diff(&b, &a);
         assert_eq!(rev.evolution, Evolution::BackwardCompatible);
         assert_eq!(rev.b_only, r.a_only);
     }
@@ -1565,7 +1536,7 @@ mod tests {
     fn root_name_difference() {
         let a = parse("global { doc, alt } grammar { doc = { } alt = { } }");
         let b = parse("global { doc } grammar { doc = { } }");
-        let r = diff_bxsd(&a, &b, &AnalysisOptions::default(), None).unwrap();
+        let r = diff(&a, &b);
         assert!(r.a_only > 0);
         assert!(r
             .witnesses
@@ -1577,7 +1548,7 @@ mod tests {
     fn text_type_difference() {
         let a = parse("global { doc } grammar { doc = { type xs:string } }");
         let b = parse("global { doc } grammar { doc = { type xs:integer } }");
-        let r = diff_bxsd(&a, &b, &AnalysisOptions::default(), None).unwrap();
+        let r = diff(&a, &b);
         assert_eq!(r.evolution, Evolution::ForwardCompatible, "{r:?}");
         let w = r
             .witnesses
@@ -1592,7 +1563,7 @@ mod tests {
     fn attribute_requirement_difference() {
         let a = parse("global { doc } grammar { doc = { attribute id? } }");
         let b = parse("global { doc } grammar { doc = { attribute id } }");
-        let r = diff_bxsd(&a, &b, &AnalysisOptions::default(), None).unwrap();
+        let r = diff(&a, &b);
         assert_eq!(r.evolution, Evolution::ForwardCompatible, "{r:?}");
         assert!(r.witnesses.iter().any(|w| w.kind == WitnessKind::Attribute));
     }
@@ -1605,7 +1576,7 @@ mod tests {
         let a = bld.ename.intern("a");
         bld.suffix_rule(&["a"], ContentModel::new(Regex::sym(a)));
         let bxsd = bld.build().unwrap();
-        let r = analyze_sat(&bxsd, &AnalysisOptions::default(), None).unwrap();
+        let r = sat(&bxsd);
         assert!(!r.satisfiable);
         assert!(r.witness.is_none());
         assert_eq!(r.unsat_rules.len(), 1);
@@ -1616,7 +1587,7 @@ mod tests {
     fn sat_produces_minimal_valid_witness() {
         let bxsd =
             parse("global { doc } grammar { doc = { element item+ } item = { type xs:integer } }");
-        let r = analyze_sat(&bxsd, &AnalysisOptions::default(), None).unwrap();
+        let r = sat(&bxsd);
         assert!(r.satisfiable);
         let doc = xmltree::parse_document(r.witness.as_ref().unwrap()).unwrap();
         assert!(is_valid(&bxsd, &doc), "{:?}", r.witness);
@@ -1633,7 +1604,7 @@ mod tests {
                    c = { element b } \
                    c/b = { element c } }";
         let bxsd = parse(src);
-        let r = analyze_sat(&bxsd, &AnalysisOptions::default(), None).unwrap();
+        let r = sat(&bxsd);
         assert!(r.satisfiable);
         assert!(
             r.unsat_rules.iter().any(|u| u.path == ["doc", "c"]),
@@ -1650,30 +1621,31 @@ mod tests {
         let b = parse(
             "global { doc } grammar { doc = { element a*, element b? } a = { element b? } b = { } }",
         );
-        let base = diff_bxsd(&a, &b, &AnalysisOptions::default(), None).unwrap();
+        let base = diff(&a, &b);
         for jobs in [2, 4, 16] {
             let opts = AnalysisOptions {
                 jobs,
                 ..AnalysisOptions::default()
             };
-            let r = diff_bxsd(&a, &b, &opts, None).unwrap();
+            let r = diff_bxsd(&a, &b, &opts, &mut AutomataCache::new()).unwrap();
             assert_eq!(r.witnesses, base.witnesses, "jobs={jobs}");
             assert_eq!(r.evolution, base.evolution);
         }
     }
 
     #[test]
-    fn cached_diff_matches_uncached() {
+    fn warm_cache_diff_matches_fresh_cache() {
         let a = parse("global { doc } grammar { doc = { element a* } a = { type xs:date } }");
         let b = parse("global { doc } grammar { doc = { element a+ } a = { type xs:date } }");
-        let plain = diff_bxsd(&a, &b, &AnalysisOptions::default(), None).unwrap();
-        let mut cache = AutomataCache::new();
-        let cached = diff_bxsd(&a, &b, &AnalysisOptions::default(), Some(&mut cache)).unwrap();
-        assert_eq!(plain.witnesses, cached.witnesses);
-        assert_eq!(plain.evolution, cached.evolution);
-        // Second run through the same cache reuses every construction.
-        let again = diff_bxsd(&a, &b, &AnalysisOptions::default(), Some(&mut cache)).unwrap();
-        assert_eq!(again.witnesses, cached.witnesses);
+        let opts = AnalysisOptions::default();
+        let fresh = diff_bxsd(&a, &b, &opts, &mut AutomataCache::new()).unwrap();
+        // A warm cache: one that already served an earlier diff.
+        let mut warm = AutomataCache::new();
+        diff_bxsd(&b, &a, &opts, &mut warm).unwrap();
+        let again = diff_bxsd(&a, &b, &opts, &mut warm).unwrap();
+        assert_eq!(fresh.witnesses, again.witnesses);
+        assert_eq!(fresh.evolution, again.evolution);
+        assert_eq!((fresh.a_only, fresh.b_only), (again.a_only, again.b_only));
         assert!(again.stats.cache_hits > 0, "{:?}", again.stats);
     }
 }

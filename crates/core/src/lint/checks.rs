@@ -11,10 +11,10 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use relang::cache::AutomataCache;
-use relang::ops::language::{difference_witness_dfa, regex_to_dfa};
+use relang::ops::language::difference_witness_dfa;
+use relang::ops::minimize;
 use relang::ops::product::product2;
 use relang::ops::subset::SubsetInterner;
-use relang::ops::{minimize, RelevanceProduct};
 use relang::regex::determinism::{check_deterministic_witness, NonDeterminism, UpaWitness};
 use relang::regex::props::is_empty_language;
 use relang::{Alphabet, Dfa, Regex, Sym};
@@ -26,61 +26,17 @@ use crate::lang::lower::lower_lenient;
 use crate::lint::{Code, Diagnostic, LintOptions, LintReport};
 use crate::translate::classify_bxsd;
 
-/// The checks' view of the automata layer: an optional shared
-/// [`AutomataCache`]. With a cache every `raw_dfa`/`min_dfa` result is
-/// memoized (within this lint run and across the caller's other
-/// compile stages); without one each request computes fresh — the
-/// honest ablation path for `exp_compile --no-cache`.
-struct Ctx<'a> {
-    cache: Option<&'a mut AutomataCache>,
-}
-
-impl Ctx<'_> {
-    fn raw_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
-        match self.cache.as_deref_mut() {
-            Some(c) => c.raw_dfa(r, n_syms),
-            None => Arc::new(regex_to_dfa(r, n_syms)),
-        }
-    }
-
-    fn min_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
-        match self.cache.as_deref_mut() {
-            Some(c) => c.min_dfa(r, n_syms),
-            None => Arc::new(minimize(&regex_to_dfa(r, n_syms))),
-        }
-    }
-
-    fn relevance_product(
-        &mut self,
-        n_syms: usize,
-        ancestors: &[Regex],
-        budget: usize,
-    ) -> Option<Arc<RelevanceProduct>> {
-        match self.cache.as_deref_mut() {
-            Some(c) => c.relevance_product(n_syms, ancestors, budget),
-            None => {
-                let dfas: Vec<Dfa> = ancestors.iter().map(|r| regex_to_dfa(r, n_syms)).collect();
-                RelevanceProduct::build(n_syms, &dfas, budget).map(Arc::new)
-            }
-        }
-    }
-}
-
 /// Lints a parsed BonXai schema: lowers it leniently and runs every
 /// check, attaching the source span of each offending rule.
 pub fn lint_ast(ast: &SchemaAst, opts: &LintOptions) -> LintReport {
-    lint_ast_with(ast, opts, None)
+    lint_ast_with(ast, opts, &mut AutomataCache::new())
 }
 
-/// [`lint_ast`] with an optional [`AutomataCache`] shared with other
-/// compile stages (and other schemas). The report is byte-identical
-/// with and without a cache: every memoized construction is
+/// [`lint_ast`] through a caller-owned [`AutomataCache`] shared with
+/// other compile stages (and other schemas). The report does not depend
+/// on what the cache already holds: every memoized construction is
 /// deterministic and keyed by its full input.
-pub fn lint_ast_with(
-    ast: &SchemaAst,
-    opts: &LintOptions,
-    cache: Option<&mut AutomataCache>,
-) -> LintReport {
+pub fn lint_ast_with(ast: &SchemaAst, opts: &LintOptions, cache: &mut AutomataCache) -> LintReport {
     let mut report = LintReport::default();
     let lowered = lower_lenient(ast);
     let bxsd = &lowered.bxsd;
@@ -135,12 +91,10 @@ pub fn lint_ast_with(
         return report.finish(opts);
     }
 
-    let mut ctx = Ctx { cache };
-
     // BX002: reachability under the priority semantics (budgeted), then
     // BX001 (dead rules) for the rules that *are* reachable — a rule
     // gets one of the two diagnoses, with unreachability the stronger.
-    let reach = reachable_rules(bxsd, opts.reach_budget, &mut ctx);
+    let reach = reachable_rules(bxsd, opts.reach_budget, cache);
     let mut unreachable = vec![false; bxsd.rules.len()];
     match reach {
         Some(reached) => {
@@ -211,7 +165,7 @@ pub fn lint_ast_with(
         }
         let mut unions = vec![empty; n_rules];
         for i in (0..n_rules.saturating_sub(1)).rev() {
-            let next_min = ctx.min_dfa(&bxsd.rules[i + 1].ancestor, n);
+            let next_min = cache.min_dfa(&bxsd.rules[i + 1].ancestor, n);
             unions[i] = minimize(&product2(&next_min, &unions[i + 1], |x, y| x || y));
         }
         unions
@@ -220,11 +174,11 @@ pub fn lint_ast_with(
         if unreachable[i] || is_empty_language(&rule.ancestor) {
             continue;
         }
-        let anc = ctx.min_dfa(&rule.ancestor, n);
+        let anc = cache.min_dfa(&rule.ancestor, n);
         if difference_witness_dfa(&anc, &suffix_unions[i]).is_some() {
             continue;
         }
-        let word = ctx
+        let word = cache
             .raw_dfa(&rule.ancestor, n)
             .shortest_accepted_word()
             .unwrap_or_default();
@@ -251,11 +205,7 @@ pub fn lint_ast_with(
     // BX010: rules that are relevant at some realizable context but
     // admit no finite conforming subtree there — the whole-schema
     // satisfiability engine, reporting the shortest witness context.
-    match crate::analysis::unsatisfiable_rule_contexts(
-        bxsd,
-        opts.reach_budget,
-        ctx.cache.as_deref_mut(),
-    ) {
+    match crate::analysis::unsatisfiable_rule_contexts(bxsd, opts.reach_budget, cache) {
         Ok(unsat) => {
             for u in unsat {
                 if unreachable[u.rule] || vacuous_reason(&bxsd.rules[u.rule].content).is_some() {
@@ -304,7 +254,7 @@ pub fn lint_ast_with(
     // DFA product per (name, rule) pair.
     let mut ends_with_sym = vec![false; n];
     for rule in &bxsd.rules {
-        let d = ctx.min_dfa(&rule.ancestor, n);
+        let d = cache.min_dfa(&rule.ancestor, n);
         for q in 0..d.n_states() {
             for (a, seen) in ends_with_sym.iter_mut().enumerate() {
                 if !*seen
@@ -360,8 +310,8 @@ pub fn lint_ast_with(
     // BX008: relevance-product blow-up probe (same budget as the
     // validator's default — with a shared cache, a later
     // `CompiledBxsd` build of this schema reuses the probe's product).
-    let ancestors: Vec<Regex> = bxsd.rules.iter().map(|r| r.ancestor.clone()).collect();
-    if ctx
+    let ancestors: Vec<&Regex> = bxsd.rules.iter().map(|r| &r.ancestor).collect();
+    if cache
         .relevance_product(n, &ancestors, opts.product_budget)
         .is_none()
     {
@@ -596,7 +546,7 @@ fn vacuous_reason(content: &ContentModel) -> Option<String> {
 /// model actually allows (all names when a node is unconstrained or its
 /// content is open). Returns `None` when more than `budget` tuples were
 /// generated.
-fn reachable_rules(bxsd: &Bxsd, budget: usize, ctx: &mut Ctx) -> Option<Vec<bool>> {
+fn reachable_rules(bxsd: &Bxsd, budget: usize, cache: &mut AutomataCache) -> Option<Vec<bool>> {
     let n = bxsd.ename.len();
     let n_rules = bxsd.rules.len();
     let all_syms: Vec<Sym> = bxsd.ename.symbols().collect();
@@ -606,7 +556,7 @@ fn reachable_rules(bxsd: &Bxsd, budget: usize, ctx: &mut Ctx) -> Option<Vec<bool
     let dfas: Vec<Arc<Dfa>> = bxsd
         .rules
         .iter()
-        .map(|r| ctx.min_dfa(&r.ancestor, n))
+        .map(|r| cache.min_dfa(&r.ancestor, n))
         .collect();
 
     // Element names each rule's content allows as children.

@@ -253,7 +253,7 @@ pub fn lint_source(source: &str, opts: &LintOptions) -> Result<LintReport, LangE
 pub fn lint_source_with(
     source: &str,
     opts: &LintOptions,
-    cache: Option<&mut relang::AutomataCache>,
+    cache: &mut relang::AutomataCache,
 ) -> Result<LintReport, LangError> {
     let ast = parse_schema(source)?;
     Ok(lint_ast_with(&ast, opts, cache))

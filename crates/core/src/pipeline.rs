@@ -141,15 +141,14 @@ impl SchemaCompiler {
     /// identical to [`CompiledBxsd::new`]'s; only construction work is
     /// shared across versions.
     pub fn compile<'a>(&mut self, bxsd: &'a Bxsd) -> CompiledBxsd<'a> {
-        let before = self.cache.stats();
         let compiled = CompiledBxsd::with_cache(bxsd, self.budget, &mut self.cache);
-        self.last = self.cache.stats().since(before);
+        self.last = compiled.cache_stats();
         compiled
     }
 
     /// Per-stage hit/miss counters of the most recent
     /// [`Self::compile`] only (hits = constructions reused from an
-    /// earlier version).
+    /// earlier version) — its [`CompiledBxsd::cache_stats`].
     pub fn last_stats(&self) -> CacheStats {
         self.last
     }
@@ -293,6 +292,26 @@ mod tests {
                 crate::validate::is_valid(&v2.bxsd, doc)
             );
         }
+    }
+
+    #[test]
+    fn schema_cache_stats_are_those_of_a_session_compile() {
+        let figure5 = include_str!("../../../data/figure5.bonxai");
+        let schema = BonxaiSchema::parse(figure5).unwrap();
+        let mut session = SchemaCompiler::new();
+        let _ = session.compile(&schema.bxsd);
+        let want = session.last_stats();
+        assert_eq!(want.misses(), 14 + 1 + 9, "{want:?}");
+        assert_eq!(schema.compiled().cache_stats(), want);
+        assert_eq!(schema.compiled().cache_stats(), want);
+        let clone = schema.clone();
+        assert_eq!(clone.compiled().cache_stats(), want);
+        // A clone taken before the first compile builds its own automata,
+        // with the same counters.
+        let cold = BonxaiSchema::parse(figure5).unwrap();
+        let cold_clone = cold.clone();
+        assert_eq!(cold.compiled().cache_stats(), want);
+        assert_eq!(cold_clone.compiled().cache_stats(), want);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use relang::cache::AutomataCache;
-use relang::ops::{full_product, lazy_product_pruned, minimize, regex_to_dfa, Product};
+use relang::ops::{full_product, lazy_product_pruned, Product};
 use relang::{Dfa, Sym};
 use xsd::{ContentModel, DfaXsd};
 
@@ -30,32 +30,29 @@ use crate::bxsd::Bxsd;
 /// Translates a BXSD into an equivalent DFA-based XSD, materializing only
 /// reachable, λ-pruned product states.
 pub fn bxsd_to_dfa_xsd(bxsd: &Bxsd) -> DfaXsd {
-    build(bxsd, true, None)
+    build(bxsd, true, &mut AutomataCache::new())
 }
 
 /// [`bxsd_to_dfa_xsd`] with a shared [`AutomataCache`]: line 1's minimal
 /// rule DFAs come from the memo (canonical minimization makes the cached
 /// and fresh components — and hence the whole translation — identical).
 pub fn bxsd_to_dfa_xsd_with_cache(bxsd: &Bxsd, cache: &mut AutomataCache) -> DfaXsd {
-    build(bxsd, true, Some(cache))
+    build(bxsd, true, cache)
 }
 
 /// Reference implementation with the full (unpruned) product of all rule
 /// automata — exponential in the number of rules; small inputs only.
 pub fn bxsd_to_dfa_xsd_strict(bxsd: &Bxsd) -> DfaXsd {
-    build(bxsd, false, None)
+    build(bxsd, false, &mut AutomataCache::new())
 }
 
-fn build(bxsd: &Bxsd, lazy: bool, mut cache: Option<&mut AutomataCache>) -> DfaXsd {
+fn build(bxsd: &Bxsd, lazy: bool, cache: &mut AutomataCache) -> DfaXsd {
     let n = bxsd.ename.len();
     // Line 1: minimal complete DFAs for the rule languages.
     let components: Vec<Arc<Dfa>> = bxsd
         .rules
         .iter()
-        .map(|r| match cache.as_deref_mut() {
-            Some(c) => c.min_dfa(&r.ancestor, n),
-            None => Arc::new(minimize(&regex_to_dfa(&r.ancestor, n))),
-        })
+        .map(|r| cache.min_dfa(&r.ancestor, n))
         .collect();
     let refs: Vec<&Dfa> = components.iter().map(Arc::as_ref).collect();
 

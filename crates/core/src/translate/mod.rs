@@ -85,7 +85,7 @@ pub fn dfa_xsd_to_bxsd_auto(d: &DfaXsd, opts: &TranslateOptions) -> (Bxsd, Path)
 /// BXSD → XSD: Theorem 12 when the schema is suffix-based, otherwise
 /// Algorithm 3; then Algorithm 4 (and optional minimization).
 pub fn bxsd_to_xsd(bxsd: &Bxsd, opts: &TranslateOptions) -> (Xsd, Path) {
-    bxsd_to_xsd_impl(bxsd, opts, None)
+    bxsd_to_xsd_with_cache(bxsd, opts, &mut AutomataCache::new())
 }
 
 /// [`bxsd_to_xsd`] with a shared [`AutomataCache`]. The Theorem 12 fast
@@ -98,23 +98,12 @@ pub fn bxsd_to_xsd_with_cache(
     opts: &TranslateOptions,
     cache: &mut AutomataCache,
 ) -> (Xsd, Path) {
-    bxsd_to_xsd_impl(bxsd, opts, Some(cache))
-}
-
-fn bxsd_to_xsd_impl(
-    bxsd: &Bxsd,
-    opts: &TranslateOptions,
-    cache: Option<&mut AutomataCache>,
-) -> (Xsd, Path) {
     let (d, path) = match suffix_bxsd_to_dfa_xsd(bxsd) {
         Ok(d) => {
             let k = classify_bxsd(bxsd).map(|(_, k)| k).unwrap_or(0);
             (d, Path::Fast(k))
         }
-        Err(_) => match cache {
-            Some(c) => (bxsd_to_dfa_xsd_with_cache(bxsd, c), Path::General),
-            None => (bxsd_to_dfa_xsd(bxsd), Path::General),
-        },
+        Err(_) => (bxsd_to_dfa_xsd_with_cache(bxsd, cache), Path::General),
     };
     let x = dfa_xsd_to_xsd(&d);
     let x = if opts.minimize {

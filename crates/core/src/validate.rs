@@ -51,7 +51,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use relang::cache::AutomataCache;
+use relang::cache::{AutomataCache, CacheStats};
 use relang::ops::{ProductState, RelevanceProduct};
 use relang::{CompiledDre, Dfa, Regex, StateId, Sym};
 use xmltree::stream::{AttrList, ByteSrc, EventSink, TextChunk, TextInterest, XmlReader};
@@ -118,7 +118,8 @@ impl BxsdReport {
 /// A BXSD compiled for repeated validation: the borrowed schema plus its
 /// shared, owned automata. [`crate::BonxaiSchema::compiled`] builds the
 /// automata once per schema and hands out views at the cost of one `Arc`
-/// clone; the constructors here always build afresh.
+/// clone; the constructors here always build, through the caller's
+/// [`AutomataCache`] or a fresh one.
 pub struct CompiledBxsd<'a> {
     pub(crate) bxsd: &'a Bxsd,
     pub(crate) automata: Arc<Automata>,
@@ -133,6 +134,7 @@ pub(crate) struct Automata {
     ancestor_dfas: Vec<Arc<Dfa>>,
     pub(crate) content_matchers: Vec<Arc<CompiledDre>>,
     pub(crate) relevance: Option<Arc<RelevanceProduct>>,
+    cache_stats: CacheStats,
 }
 
 impl<'a> CompiledBxsd<'a> {
@@ -146,50 +148,28 @@ impl<'a> CompiledBxsd<'a> {
     /// states. A budget of 0 disables the product entirely; validation
     /// then always runs lock-step.
     pub fn with_budget(bxsd: &'a Bxsd, budget: usize) -> Self {
-        Self::build(bxsd, budget, None)
+        Self::with_cache(bxsd, budget, &mut AutomataCache::new())
     }
 
-    /// [`Self::with_budget`] with a shared [`AutomataCache`]: ancestor
-    /// DFAs and the relevance product are memoized by regex structure,
-    /// so recompiling a schema (or compiling one the lint pass already
-    /// probed) reuses the constructions. The compiled validator is
-    /// identical to an uncached build.
+    /// [`Self::with_budget`] through a shared [`AutomataCache`]: ancestor
+    /// DFAs, content matchers and the relevance product are memoized by
+    /// regex structure, so recompiling a schema (or compiling one the
+    /// lint pass already probed) reuses the constructions. The validator
+    /// does not depend on what the cache already held.
     pub fn with_cache(bxsd: &'a Bxsd, budget: usize, cache: &mut AutomataCache) -> Self {
-        Self::build(bxsd, budget, Some(cache))
-    }
-
-    fn build(bxsd: &'a Bxsd, budget: usize, mut cache: Option<&mut AutomataCache>) -> Self {
+        let before = cache.stats();
         let n = bxsd.ename.len();
-        let ancestor_dfas: Vec<Arc<Dfa>> = bxsd
-            .rules
-            .iter()
-            .map(|r| match cache.as_deref_mut() {
-                Some(c) => c.raw_dfa(&r.ancestor, n),
-                None => Arc::new(relang::ops::regex_to_dfa(&r.ancestor, n)),
-            })
-            .collect();
+        let ancestors: Vec<&Regex> = bxsd.rules.iter().map(|r| &r.ancestor).collect();
+        let ancestor_dfas = ancestors.iter().map(|r| cache.raw_dfa(r, n)).collect();
         let content_matchers = bxsd
             .rules
             .iter()
-            .map(|r| match cache.as_deref_mut() {
-                Some(c) => c.compiled_dre(&r.content.regex, n),
-                None => Arc::new(CompiledDre::compile(&r.content.regex, n)),
-            })
+            .map(|r| cache.compiled_dre(&r.content.regex, n))
             .collect();
         let relevance = if budget == 0 {
             None
         } else {
-            match cache {
-                Some(c) => {
-                    let ancestors: Vec<Regex> =
-                        bxsd.rules.iter().map(|r| r.ancestor.clone()).collect();
-                    c.relevance_product(n, &ancestors, budget)
-                }
-                None => {
-                    let refs: Vec<&Dfa> = ancestor_dfas.iter().map(Arc::as_ref).collect();
-                    RelevanceProduct::build_refs(n, &refs, budget).map(Arc::new)
-                }
-            }
+            cache.relevance_product(n, &ancestors, budget)
         };
         CompiledBxsd {
             bxsd,
@@ -197,6 +177,7 @@ impl<'a> CompiledBxsd<'a> {
                 ancestor_dfas,
                 content_matchers,
                 relevance,
+                cache_stats: cache.stats().since(before),
             }),
         }
     }
@@ -210,6 +191,13 @@ impl<'a> CompiledBxsd<'a> {
     /// exceeded its budget (validation falls back to lock-step).
     pub fn product_states(&self) -> Option<usize> {
         self.automata.relevance.as_ref().map(|p| p.n_states())
+    }
+
+    /// The [`AutomataCache`] hit/miss counters of the compile that built
+    /// these automata (misses = constructions actually run). Views that
+    /// share the automata report the same counters.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.automata.cache_stats
     }
 
     /// Validates `doc` under the priority semantics (default options:

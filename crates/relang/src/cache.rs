@@ -1,10 +1,15 @@
 //! Memoized automata construction keyed by regex structure.
 //!
 //! Every compile-time consumer — `CompiledBxsd` assembly, the lint
-//! checks, Algorithm 3 translation — starts from the same primitive:
-//! "the (minimal) DFA of this regex over this alphabet". Before this
-//! module each caller rebuilt those DFAs from scratch, per rule *per
-//! check*. [`AutomataCache`] memoizes four levels:
+//! checks, the schema-diff and satisfiability engine, Algorithm 3
+//! translation — starts from the same primitive: "the (minimal) DFA of
+//! this regex over this alphabet". [`AutomataCache`] is the one way
+//! those consumers build automata: each takes a `&mut AutomataCache`,
+//! and a one-shot entry point without a cache argument runs on a fresh
+//! [`AutomataCache::new`]. A fresh cache costs next to nothing (empty
+//! maps do not allocate) and already pays within one compile, where
+//! the lint-style checks ask for the same rule's DFA several times. It
+//! memoizes four levels:
 //!
 //! * **raw DFAs** — the untouched subset-construction output of
 //!   [`regex_to_dfa`] (partial, unminimized). Budget-sensitive callers
@@ -36,10 +41,13 @@
 //! the alphabet fingerprint.
 //!
 //! Values are shared via [`Arc`], so a hit costs one reference-count
-//! bump. Entries are never invalidated: a `Regex` is immutable and the
-//! key captures every input of the construction, so an entry can go
-//! stale only if the construction algorithms themselves change — within
-//! one process lifetime the cache is append-only.
+//! bump. Keys are cloned once: the raw level owns each regex, and the
+//! minimal and product levels share its copy, which keeps a one-shot
+//! compile on a fresh cache close to the cost of building directly.
+//! Entries are never invalidated: a `Regex` is immutable and the key
+//! captures every input of the construction, so an entry can go stale
+//! only if the construction algorithms themselves change — within one
+//! process lifetime the cache is append-only.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -53,10 +61,11 @@ use crate::ops::relevance::RelevanceProduct;
 use crate::regex::ast::Regex;
 
 /// Bucket of DFA entries sharing a structural hash (almost always one).
-type DfaBucket = Vec<(Regex, usize, Arc<Dfa>)>;
+/// The raw level owns the key; the levels above share it.
+type DfaBucket = Vec<(Arc<Regex>, usize, Arc<Dfa>)>;
 
 /// Bucket of product entries: (components, n_syms, budget, result).
-type ProductBucket = Vec<(Vec<Regex>, usize, usize, Option<Arc<RelevanceProduct>>)>;
+type ProductBucket = Vec<(Vec<Arc<Regex>>, usize, usize, Option<Arc<RelevanceProduct>>)>;
 
 /// Bucket of compiled-content-matcher entries.
 type DreBucket = Vec<(Regex, usize, Arc<CompiledDre>)>;
@@ -161,22 +170,28 @@ impl AutomataCache {
     /// The raw (partial, unminimized) DFA of `r` over `n_syms` symbols —
     /// memoized [`regex_to_dfa`], state numbering and all.
     pub fn raw_dfa(&mut self, r: &Regex, n_syms: usize) -> Arc<Dfa> {
+        self.raw_entry(r, n_syms).1
+    }
+
+    /// [`Self::raw_dfa`] plus the memo's copy of `r`, which the minimal
+    /// and product levels key on instead of cloning `r` again.
+    fn raw_entry(&mut self, r: &Regex, n_syms: usize) -> (Arc<Regex>, Arc<Dfa>) {
         let key = dfa_key_hash(r, n_syms);
         if let Some(bucket) = self.raw.get(&key) {
             for (k, n, d) in bucket {
-                if *n == n_syms && k == r {
+                if *n == n_syms && **k == *r {
                     self.stats.raw.hits += 1;
-                    return Arc::clone(d);
+                    return (Arc::clone(k), Arc::clone(d));
                 }
             }
         }
         self.stats.raw.misses += 1;
-        let d = Arc::new(regex_to_dfa(r, n_syms));
+        let (k, d) = (Arc::new(r.clone()), Arc::new(regex_to_dfa(r, n_syms)));
         self.raw
             .entry(key)
             .or_default()
-            .push((r.clone(), n_syms, Arc::clone(&d)));
-        d
+            .push((Arc::clone(&k), n_syms, Arc::clone(&d)));
+        (k, d)
     }
 
     /// The minimal complete DFA of `r` over `n_syms` symbols — memoized
@@ -186,19 +201,19 @@ impl AutomataCache {
         let key = dfa_key_hash(r, n_syms);
         if let Some(bucket) = self.min.get(&key) {
             for (k, n, d) in bucket {
-                if *n == n_syms && k == r {
+                if *n == n_syms && **k == *r {
                     self.stats.min.hits += 1;
                     return Arc::clone(d);
                 }
             }
         }
         self.stats.min.misses += 1;
-        let raw = self.raw_dfa(r, n_syms);
+        let (k, raw) = self.raw_entry(r, n_syms);
         let d = Arc::new(minimize(&raw));
         self.min
             .entry(key)
             .or_default()
-            .push((r.clone(), n_syms, Arc::clone(&d)));
+            .push((k, n_syms, Arc::clone(&d)));
         d
     }
 
@@ -209,7 +224,7 @@ impl AutomataCache {
     pub fn relevance_product(
         &mut self,
         n_syms: usize,
-        ancestors: &[Regex],
+        ancestors: &[&Regex],
         budget: usize,
     ) -> Option<Arc<RelevanceProduct>> {
         let key = {
@@ -221,20 +236,24 @@ impl AutomataCache {
         };
         if let Some(bucket) = self.product.get(&key) {
             for (ks, n, b, p) in bucket {
-                if *n == n_syms && *b == budget && ks.as_slice() == ancestors {
+                if *n == n_syms
+                    && *b == budget
+                    && ks.iter().map(|k| &**k).eq(ancestors.iter().copied())
+                {
                     self.stats.product.hits += 1;
                     return p.clone();
                 }
             }
         }
         self.stats.product.misses += 1;
-        let dfas: Vec<Arc<Dfa>> = ancestors.iter().map(|r| self.raw_dfa(r, n_syms)).collect();
+        let (keys, dfas): (Vec<Arc<Regex>>, Vec<Arc<Dfa>>) =
+            ancestors.iter().map(|r| self.raw_entry(r, n_syms)).unzip();
         let refs: Vec<&Dfa> = dfas.iter().map(Arc::as_ref).collect();
         let p = RelevanceProduct::build_refs(n_syms, &refs, budget).map(Arc::new);
         self.product
             .entry(key)
             .or_default()
-            .push((ancestors.to_vec(), n_syms, budget, p.clone()));
+            .push((keys, n_syms, budget, p.clone()));
         p
     }
 
@@ -307,7 +326,8 @@ mod tests {
     #[test]
     fn product_memoizes_including_overflow() {
         let mut c = AutomataCache::new();
-        let rules = vec![Regex::plus(s(0)), Regex::concat(vec![s(0), s(0)])];
+        let (r0, r1) = (Regex::plus(s(0)), Regex::concat(vec![s(0), s(0)]));
+        let rules = [&r0, &r1];
         let p1 = c.relevance_product(1, &rules, 1 << 10).expect("fits");
         let p2 = c.relevance_product(1, &rules, 1 << 10).expect("fits");
         assert!(Arc::ptr_eq(&p1, &p2));

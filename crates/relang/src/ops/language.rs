@@ -5,10 +5,7 @@
 //! translations preserve languages, and by the schema tools to report
 //! differences between schemas with an explicit witness word.
 
-use std::sync::Arc;
-
 use crate::alphabet::Sym;
-use crate::cache::AutomataCache;
 use crate::dfa::Dfa;
 use crate::nfa::Nfa;
 use crate::ops::product::product2;
@@ -38,35 +35,9 @@ pub fn is_empty(r: &Regex) -> bool {
     crate::regex::props::is_empty_language(r)
 }
 
-/// [`regex_to_dfa`] through an optional [`AutomataCache`]: with a cache
-/// the construction is memoized (structural-hash keyed, shared with the
-/// lint checks and the schema-diff engine); without one it runs fresh.
-/// Both paths return the identical automaton — the cache stores exactly
-/// what recomputation would produce.
-pub fn regex_to_dfa_with(r: &Regex, n_syms: usize, cache: Option<&mut AutomataCache>) -> Arc<Dfa> {
-    match cache {
-        Some(c) => c.raw_dfa(r, n_syms),
-        None => Arc::new(regex_to_dfa(r, n_syms)),
-    }
-}
-
 /// A word in `L(r1) \ L(r2)`, if any. `None` means `L(r1) ⊆ L(r2)`.
 pub fn difference_witness(r1: &Regex, r2: &Regex, n_syms: usize) -> Option<Vec<Sym>> {
-    difference_witness_with(r1, r2, n_syms, None)
-}
-
-/// [`difference_witness`] with an optional [`AutomataCache`] memoizing
-/// the two determinizations (the product and its witness are cheap and
-/// computed fresh).
-pub fn difference_witness_with(
-    r1: &Regex,
-    r2: &Regex,
-    n_syms: usize,
-    mut cache: Option<&mut AutomataCache>,
-) -> Option<Vec<Sym>> {
-    let d1 = regex_to_dfa_with(r1, n_syms, cache.as_deref_mut());
-    let d2 = regex_to_dfa_with(r2, n_syms, cache);
-    difference_witness_dfa(&d1, &d2)
+    difference_witness_dfa(&regex_to_dfa(r1, n_syms), &regex_to_dfa(r2, n_syms))
 }
 
 /// The canonical witness accepted by `d1` but not `d2`, if any: the
@@ -82,33 +53,11 @@ pub fn is_subset(r1: &Regex, r2: &Regex, n_syms: usize) -> bool {
     difference_witness(r1, r2, n_syms).is_none()
 }
 
-/// [`is_subset`] with an optional [`AutomataCache`].
-pub fn is_subset_with(
-    r1: &Regex,
-    r2: &Regex,
-    n_syms: usize,
-    cache: Option<&mut AutomataCache>,
-) -> bool {
-    difference_witness_with(r1, r2, n_syms, cache).is_none()
-}
-
 /// Whether `L(r1) = L(r2)`; on inequality returns the canonical
 /// (shortest, then lexicographically least) witness word in the
 /// symmetric difference.
 pub fn check_equivalent(r1: &Regex, r2: &Regex, n_syms: usize) -> Result<(), Vec<Sym>> {
-    check_equivalent_with(r1, r2, n_syms, None)
-}
-
-/// [`check_equivalent`] with an optional [`AutomataCache`].
-pub fn check_equivalent_with(
-    r1: &Regex,
-    r2: &Regex,
-    n_syms: usize,
-    mut cache: Option<&mut AutomataCache>,
-) -> Result<(), Vec<Sym>> {
-    let d1 = regex_to_dfa_with(r1, n_syms, cache.as_deref_mut());
-    let d2 = regex_to_dfa_with(r2, n_syms, cache);
-    check_equivalent_dfa(&d1, &d2)
+    check_equivalent_dfa(&regex_to_dfa(r1, n_syms), &regex_to_dfa(r2, n_syms))
 }
 
 /// Whether two DFAs accept the same language; on inequality returns the
@@ -129,18 +78,7 @@ pub fn is_equivalent(r1: &Regex, r2: &Regex, n_syms: usize) -> bool {
 /// Whether `L(r1) ∩ L(r2)` is nonempty; returns the canonical (shortest,
 /// then lexicographically least) common word.
 pub fn intersection_witness(r1: &Regex, r2: &Regex, n_syms: usize) -> Option<Vec<Sym>> {
-    intersection_witness_with(r1, r2, n_syms, None)
-}
-
-/// [`intersection_witness`] with an optional [`AutomataCache`].
-pub fn intersection_witness_with(
-    r1: &Regex,
-    r2: &Regex,
-    n_syms: usize,
-    mut cache: Option<&mut AutomataCache>,
-) -> Option<Vec<Sym>> {
-    let d1 = regex_to_dfa_with(r1, n_syms, cache.as_deref_mut());
-    let d2 = regex_to_dfa_with(r2, n_syms, cache);
+    let (d1, d2) = (regex_to_dfa(r1, n_syms), regex_to_dfa(r2, n_syms));
     product2(&d1, &d2, |x, y| x && y).shortest_accepted_word()
 }
 
@@ -206,31 +144,6 @@ mod tests {
             Regex::concat(vec![s(1), s(0)]),
         ]);
         assert!(is_equivalent(&r1, &r2, 2));
-    }
-
-    #[test]
-    fn cached_variants_match_uncached_and_share_dfas() {
-        let mut cache = AutomataCache::default();
-        let r1 = Regex::star(s(0));
-        let r2 = Regex::plus(s(0));
-        assert_eq!(
-            check_equivalent(&r1, &r2, 1),
-            check_equivalent_with(&r1, &r2, 1, Some(&mut cache))
-        );
-        assert_eq!(
-            difference_witness(&r1, &r2, 1),
-            difference_witness_with(&r1, &r2, 1, Some(&mut cache))
-        );
-        assert_eq!(
-            is_subset(&r2, &r1, 1),
-            is_subset_with(&r2, &r1, 1, Some(&mut cache))
-        );
-        assert_eq!(
-            intersection_witness(&r1, &r2, 1),
-            intersection_witness_with(&r1, &r2, 1, Some(&mut cache))
-        );
-        // The second and later calls reuse the memoized determinizations.
-        assert!(cache.stats().hits() >= 6, "stats: {:?}", cache.stats());
     }
 
     #[test]

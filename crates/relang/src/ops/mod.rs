@@ -11,10 +11,7 @@ pub mod subset;
 
 pub use canonical::{language_key, LanguageKey};
 pub use eliminate::{dfa_to_regex, dfa_to_regex_with_order, language_reaching, EliminationOrder};
-pub use language::{
-    check_equivalent, check_equivalent_with, difference_witness, difference_witness_with,
-    is_equivalent, is_subset, is_subset_with, regex_to_dfa, regex_to_dfa_with,
-};
+pub use language::{check_equivalent, difference_witness, is_equivalent, is_subset, regex_to_dfa};
 pub use minimize::minimize;
 pub use product::{full_product, lazy_product, lazy_product_pruned, product2, Product};
 pub use relevance::{ProductState, RelevanceProduct};

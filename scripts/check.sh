@@ -46,10 +46,24 @@ target/release/bonxai conform data/conformance --fuzz 1000 --seed 0 > /dev/null 
   || { echo "conformance/fuzz divergence — run: bonxai conform data/conformance --fuzz 1000 --seed 0" >&2; exit 1; }
 BONXAI_NO_SIMD=1 target/release/bonxai conform data/conformance > /dev/null \
   || { echo "conformance divergence (scalar engine) — run: BONXAI_NO_SIMD=1 bonxai conform data/conformance" >&2; exit 1; }
-# Compile-path smoke: 20-schema subset through every stage, cached and
-# ablated, so the automata kernels + AutomataCache stay runnable.
+# Rule listings: `validate --rules` and `--matches` over every
+# conformance document. Exit 1 just means the document is invalid (most
+# are); anything worse (a panic is 101) is a bug.
+for suite in data/conformance/*/; do
+  for doc in "$suite"*.xml; do
+    for flag in --rules --matches; do
+      status=0
+      target/release/bonxai validate "$suite/schema.bonxai" "$doc" "$flag" > /dev/null || status=$?
+      if [ "$status" -gt 1 ]; then
+        echo "validate $flag crashed on $doc (exit $status)" >&2
+        exit 1
+      fi
+    done
+  done
+done
+# Compile-path smoke: 20-schema subset through every stage, so the
+# automata kernels + AutomataCache stay runnable.
 cargo run --release -p bonxai-bench --bin exp_compile -- --smoke > /dev/null
-cargo run --release -p bonxai-bench --bin exp_compile -- --smoke --no-cache > /dev/null
 
 # Incremental engine: the revalidate-vs-fresh-vs-oracle equivalence
 # proptest under both lexer engines (it serializes and reparses each
@@ -82,8 +96,8 @@ echo "lint corpus: $(ls examples/lint/golden | wc -l) golden reports match"
 # examples/diff/ (known-equivalent, known-divergent, and a cross-
 # formalism BonXai×XSD pair) diffed against the golden reports. Exit 1
 # just means the pair differs (the divergent ones should); anything
-# worse is a bug. Then the diff benchmark smoke, cached and ablated,
-# which also asserts every identical pair diffs equivalent.
+# worse is a bug. Then the diff benchmark smoke, which also asserts
+# every identical pair diffs equivalent.
 for a in examples/diff/*.a.bonxai; do
   base=$(basename "$a" .a.bonxai)
   b=$(ls "examples/diff/$base".b.* | head -1)
@@ -98,4 +112,3 @@ for a in examples/diff/*.a.bonxai; do
 done
 echo "diff corpus: $(ls examples/diff/golden | wc -l) golden reports match"
 cargo run --release -p bonxai-bench --bin exp_diff -- --smoke > /dev/null
-cargo run --release -p bonxai-bench --bin exp_diff -- --smoke --no-cache > /dev/null

@@ -9,6 +9,7 @@
 use bonxai::core::analysis::{analyze_sat, diff_bxsd, AnalysisOptions, Direction};
 use bonxai::core::{Bxsd, CompiledBxsd, ValidateOptions};
 use bonxai::gen::{diff_pair_corpus, random_suffix_bxsd, SchemaConfig};
+use bonxai::relang::AutomataCache;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xmltree::XmlReader;
@@ -38,7 +39,8 @@ fn witnesses_validate_against_exactly_one_schema() {
     let opts = AnalysisOptions::default();
     let mut checked = 0;
     for pair in &corpus {
-        let report = diff_bxsd(&pair.a, &pair.b, &opts, None).expect("diff within budget");
+        let report = diff_bxsd(&pair.a, &pair.b, &opts, &mut AutomataCache::new())
+            .expect("diff within budget");
         assert_eq!(
             report.stats.dropped, 0,
             "pair {}: dropped candidates",
@@ -73,7 +75,8 @@ fn diff_of_a_schema_with_itself_is_equivalent() {
     let opts = AnalysisOptions::default();
     for _ in 0..12 {
         let a = random_suffix_bxsd(&SchemaConfig::default(), &mut rng);
-        let report = diff_bxsd(&a, &a, &opts, None).expect("diff within budget");
+        let report =
+            diff_bxsd(&a, &a, &opts, &mut AutomataCache::new()).expect("diff within budget");
         assert!(report.equivalent(), "A vs A must be equivalent: {report:?}");
         assert!(report.witnesses.is_empty());
     }
@@ -84,8 +87,10 @@ fn diff_is_symmetric_up_to_direction() {
     let corpus = diff_pair_corpus(43, 12);
     let opts = AnalysisOptions::default();
     for pair in &corpus {
-        let ab = diff_bxsd(&pair.a, &pair.b, &opts, None).expect("diff within budget");
-        let ba = diff_bxsd(&pair.b, &pair.a, &opts, None).expect("diff within budget");
+        let ab = diff_bxsd(&pair.a, &pair.b, &opts, &mut AutomataCache::new())
+            .expect("diff within budget");
+        let ba = diff_bxsd(&pair.b, &pair.a, &opts, &mut AutomataCache::new())
+            .expect("diff within budget");
         assert_eq!(ab.a_only, ba.b_only, "pair {}", pair.id);
         assert_eq!(ab.b_only, ba.a_only, "pair {}", pair.id);
         let docs = |r: &bonxai::core::analysis::DiffReport, d: Direction| -> Vec<String> {
@@ -114,14 +119,20 @@ fn diff_is_symmetric_up_to_direction() {
 fn reports_are_identical_for_any_job_count() {
     let corpus = diff_pair_corpus(47, 8);
     for pair in &corpus {
-        let base = diff_bxsd(&pair.a, &pair.b, &AnalysisOptions::default(), None)
-            .expect("diff within budget");
+        let base = diff_bxsd(
+            &pair.a,
+            &pair.b,
+            &AnalysisOptions::default(),
+            &mut AutomataCache::new(),
+        )
+        .expect("diff within budget");
         for jobs in [2, 5, 16] {
             let opts = AnalysisOptions {
                 jobs,
                 ..AnalysisOptions::default()
             };
-            let r = diff_bxsd(&pair.a, &pair.b, &opts, None).expect("diff within budget");
+            let r = diff_bxsd(&pair.a, &pair.b, &opts, &mut AutomataCache::new())
+                .expect("diff within budget");
             assert_eq!(r.witnesses, base.witnesses, "pair {} jobs {jobs}", pair.id);
             assert_eq!(r.evolution, base.evolution, "pair {} jobs {jobs}", pair.id);
         }
@@ -142,7 +153,8 @@ fn claimed_inclusions_hold_on_sampled_documents() {
     let mut rng = StdRng::seed_from_u64(99);
     let mut cross_checked = 0;
     for pair in &corpus {
-        let report = diff_bxsd(&pair.a, &pair.b, &opts, None).expect("diff within budget");
+        let report = diff_bxsd(&pair.a, &pair.b, &opts, &mut AutomataCache::new())
+            .expect("diff within budget");
         let sides = [
             (&pair.a, &pair.b, report.a_only == 0), // claim: A ⊆ B
             (&pair.b, &pair.a, report.b_only == 0), // claim: B ⊆ A
@@ -182,7 +194,8 @@ fn sat_witnesses_validate() {
     let mut satisfiable = 0;
     for _ in 0..20 {
         let bxsd = random_suffix_bxsd(&SchemaConfig::default(), &mut rng);
-        let report = analyze_sat(&bxsd, &opts, None).expect("sat within budget");
+        let report =
+            analyze_sat(&bxsd, &opts, &mut AutomataCache::new()).expect("sat within budget");
         if let Some(w) = &report.witness {
             assert!(
                 is_valid_both_ways(&bxsd, w),

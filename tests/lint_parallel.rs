@@ -75,7 +75,7 @@ fn render_all(corpus: &[(String, String)], jobs: usize, json: bool) -> String {
     };
     let reports = map_indexed(corpus.to_vec(), jobs, |(name, text)| {
         let mut cache = AutomataCache::new();
-        let report = lint_source_with(&text, &opts, Some(&mut cache)).expect("corpus parses");
+        let report = lint_source_with(&text, &opts, &mut cache).expect("corpus parses");
         (name, report)
     });
     reports
