@@ -22,11 +22,12 @@
 //! Part 2b (front end): the same corpora lexed only (zero-copy token
 //! scan, no tree, no validation) and parsed to trees only, isolating
 //! what the event front end costs out of the end-to-end numbers. Every
-//! front-end and streamed number is measured under **both** lexer
-//! engines — the detected SIMD structural-index engine and the forced
-//! scalar fallback ([`XmlReader::set_engine`]) — interleaved within the
-//! same timing loop, so the SIMD-vs-scalar delta is immune to the
-//! cross-process noise that plagues absolute numbers on shared hosts.
+//! front-end and streamed number is measured under **both** stage-1
+//! kernels — the detected SIMD kernel and the forced scalar table
+//! kernel ([`XmlReader::set_engine`]), which build the same structural
+//! index for the same stage 2 — interleaved within the same timing
+//! loop, so the SIMD-vs-scalar delta is immune to the cross-process
+//! noise that plagues absolute numbers on shared hosts.
 //! `--parse-only` runs just this part and exits (the `check.sh`
 //! microbench).
 //!
@@ -369,10 +370,12 @@ struct Ablation {
     dispatch_ns_per_node: f64,
     /// Parse to a tree only (no validation).
     parse_ns_per_node: f64,
-    /// Lexer engine behind the three numbers above (`sse2`/`neon`, or
-    /// `scalar` when forced via `BONXAI_NO_SIMD`).
+    /// Stage-1 classification kernel behind the three numbers above
+    /// (`sse2`/`neon`, or `scalar` when forced via `BONXAI_NO_SIMD`);
+    /// the structural index and everything after it are the same under
+    /// each.
     simd: &'static str,
-    /// The same, re-measured with the engine forced to scalar —
+    /// The same, re-measured with the scalar kernel forced —
     /// interleaved with the rows above so the ratio is noise-immune.
     stream_scalar_ns_per_node: f64,
     lex_scalar_ns_per_node: f64,
@@ -585,7 +588,7 @@ fn ablation(min_secs: f64) -> Vec<Ablation> {
         })
         .collect();
     print_table(
-        "Forced-scalar lexer (same corpora, interleaved measurement)",
+        "Forced-scalar kernel (same corpora, interleaved measurement)",
         &[
             "schema",
             "streamed",
@@ -598,8 +601,9 @@ fn ablation(min_secs: f64) -> Vec<Ablation> {
         &scalar_rows,
     );
     println!(
-        "\nns/node with the lexer engine forced to the portable scalar \
-         path; `gain` columns are scalar/simd ratios. Scalar and SIMD \
+        "\nns/node with the stage-1 kernel forced to the portable scalar \
+         loop (same index, same stage 2); `gain` columns are scalar/simd \
+         ratios. Scalar and SIMD \
          passes alternate inside one timing loop, so the ratios survive \
          host noise that distorts the absolute numbers."
     );
@@ -683,8 +687,8 @@ impl EventSink for CountSink {
 /// Times the front end alone over serialized corpora: the zero-copy
 /// token scan (no tree, no validation), the fused drive loop into a
 /// counting sink (no tokens either), and the tree parse (no
-/// validation), each under the detected engine and the forced scalar
-/// fallback. All measurements alternate within one loop so a
+/// validation), each under the detected kernel and the forced scalar
+/// kernel. All measurements alternate within one loop so a
 /// noise burst on a shared host hits them equally; the scalar/SIMD
 /// ratio is therefore trustworthy even when absolutes wobble.
 fn front_end_ns(texts: &[String], nodes: usize, min_secs: f64) -> FrontEnd {

@@ -200,6 +200,41 @@ fn validate_stream_agrees_with_tree_validation() {
 }
 
 #[test]
+fn validate_accepts_a_leading_byte_order_mark() {
+    // Reproducer: a leading UTF-8 byte-order mark (allowed by XML 1.0
+    // §4.3.3) failed with `1:1: expected root element`, in the document
+    // and in an XSD schema alike.
+    const BOM: &[u8] = b"\xEF\xBB\xBF";
+    let dir = std::env::temp_dir().join("bonxai_cli_bom");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let with_bom = |name: &str| {
+        let path = dir.join(name);
+        let body = std::fs::read(data(name)).expect("reads");
+        std::fs::write(&path, [BOM, &body].concat()).expect("writes");
+        path.to_string_lossy().into_owned()
+    };
+    let doc = with_bom("figure1_document.xml");
+    let xsd = with_bom("figure3.xsd");
+    for args in [
+        vec![data("figure5.bonxai"), doc.clone()],
+        vec![data("figure5.bonxai"), doc.clone(), "--stream".to_owned()],
+        vec![xsd.clone(), doc.clone()],
+        vec![xsd, data("figure1_document.xml")],
+    ] {
+        let mut argv = vec!["validate"];
+        argv.extend(args.iter().map(String::as_str));
+        let out = run(&argv);
+        assert!(
+            out.status.success(),
+            "{argv:?}: {}{}",
+            stdout(&out),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout(&out).contains("valid"), "{argv:?}");
+    }
+}
+
+#[test]
 fn validate_stream_flag_conflicts_are_errors() {
     let args_base = [
         "validate",

@@ -16,7 +16,7 @@
 //! * **stream-product** and **stream-lockstep** validation,
 //!
 //! each parse/stream under every lexer engine available on this machine
-//! (the detected SIMD kernel and the scalar fallback) plus the
+//! (the detected SIMD kernel and the scalar kernel) plus the
 //! buffered-`io::Read` source. Every run must produce a report
 //! byte-identical to the oracle's — same violations at the same node
 //! ids in the same order, same per-node match sets. Anything else is
@@ -76,7 +76,7 @@ impl Outcome {
 }
 
 /// The lexer engines to cross-check: whatever [`Engine::detect`] picked
-/// plus the scalar fallback (deduplicated when they coincide).
+/// plus the scalar kernel (deduplicated when they coincide).
 fn engines() -> Vec<(&'static str, Engine)> {
     let detected = Engine::detect();
     let name = match detected {

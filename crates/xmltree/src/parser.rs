@@ -1,12 +1,13 @@
-//! The tree-building XML parser: a fold over the streaming reader.
+//! The tree-building XML parser: a sink of the streaming reader's fused
+//! drive loop.
 //!
 //! All lexing, entity expansion, and well-formedness checking lives in
-//! [`crate::stream`]; this module only materializes the event sequence as
-//! a [`Document`]. Streaming consumers (e.g. the BonXai streaming
-//! validator) that walk the same events therefore see *exactly* the trees
-//! this parser builds — node ids included, since nodes are allocated in
-//! event order — which is what makes streamed and tree-based validation
-//! reports byte-identical.
+//! [`crate::stream`]; this module only materializes the events that
+//! [`XmlReader::drive`] pushes as a [`Document`]. The streaming
+//! validators are sinks of the same loop, so they see *exactly* the
+//! trees this parser builds — node ids included, since nodes are
+//! allocated in event order — which is what makes streamed and
+//! tree-based validation reports byte-identical.
 //!
 //! Covers the language the paper's artifacts need — and then some: prolog,
 //! processing instructions, comments, `DOCTYPE` with an internal subset
@@ -16,7 +17,7 @@
 //! self-closing tags. Errors carry line/column positions.
 
 use crate::error::ParseError;
-use crate::stream::{ByteSrc, XmlReader, XmlToken};
+use crate::stream::{AttrList, ByteSrc, EventSink, NameId, TextChunk, TextInterest, XmlReader};
 use crate::tree::{Document, NodeId};
 
 /// The result of parsing an XML file.
@@ -35,73 +36,88 @@ pub fn parse(input: &str) -> Result<ParsedXml, ParseError> {
     parse_from_reader(XmlReader::from_str(input))
 }
 
-/// Folds an already-constructed reader into a parsed document.
+/// Builds the tree from an already-constructed reader.
 ///
-/// This is the tree-building fold itself; [`parse`] is just this applied
-/// to [`XmlReader::from_str`]. Exposed so callers that need a non-default
-/// reader — a forced lexer engine ([`XmlReader::set_engine`]), an
-/// incremental [`io::Read`](std::io::Read) source — can still reuse the
-/// exact same materialization. The stack is pre-sized to a typical
-/// document depth so steady-state parsing never reallocates it.
+/// [`parse`] is just this applied to [`XmlReader::from_str`]. Exposed so
+/// callers that need a non-default reader — a forced lexer engine
+/// ([`XmlReader::set_engine`]), an incremental
+/// [`io::Read`](std::io::Read) source — can still reuse the exact same
+/// materialization.
 pub fn parse_from_reader<S: ByteSrc>(mut reader: XmlReader<S>) -> Result<ParsedXml, ParseError> {
-    let mut doctype_name = None;
-    let mut internal_subset = None;
-    let mut document: Option<Document> = None;
-    let mut stack: Vec<NodeId> = Vec::with_capacity(16);
-    loop {
-        match reader.next_event()? {
-            XmlToken::Doctype {
-                name,
-                internal_subset: subset,
-            } => {
-                doctype_name = Some(name.to_owned());
-                if let Some(s) = subset {
-                    internal_subset = Some(s.to_owned());
-                }
-            }
-            XmlToken::StartElement {
-                name,
-                name_id,
-                attributes,
-                ..
-            } => match &mut document {
-                None => {
-                    let mut doc = Document::new(name);
-                    let root = doc.root();
-                    for a in attributes.iter() {
-                        doc.set_attribute(root, a.name, a.value);
-                    }
-                    stack.push(root);
-                    document = Some(doc);
-                }
-                Some(doc) => {
-                    let parent = *stack.last().expect("start events are nested");
-                    // The reader's dense first-occurrence ids coincide
-                    // with the document's name interner by construction,
-                    // so the hinted path skips hashing entirely.
-                    let node = doc.add_element_hinted(parent, name, name_id.index());
-                    for a in attributes.iter() {
-                        doc.set_attribute(node, a.name, a.value);
-                    }
-                    stack.push(node);
-                }
-            },
-            XmlToken::EndElement { .. } => {
-                stack.pop();
-            }
-            XmlToken::Text { text, .. } => {
-                let doc = document.as_mut().expect("text only occurs inside the root");
-                let parent = *stack.last().expect("text only occurs inside the root");
-                doc.add_text(parent, text);
-            }
-            XmlToken::EndDocument => break,
+    let mut sink = TreeSink {
+        doctype_name: None,
+        internal_subset: None,
+        document: None,
+        // Pre-sized to a typical document depth so steady-state parsing
+        // never reallocates it.
+        stack: Vec::with_capacity(16),
+    };
+    reader.drive(&mut sink)?;
+    Ok(ParsedXml {
+        document: sink.document.expect("a completed drive saw a root element"),
+        doctype_name: sink.doctype_name,
+        internal_subset: sink.internal_subset,
+    })
+}
+
+/// The [`EventSink`] that builds a [`Document`]: it collects every text
+/// run and allocates nodes in event order.
+struct TreeSink {
+    doctype_name: Option<String>,
+    internal_subset: Option<String>,
+    /// Created at the root's start tag.
+    document: Option<Document>,
+    /// Open elements, innermost last.
+    stack: Vec<NodeId>,
+}
+
+impl EventSink for TreeSink {
+    fn doctype(&mut self, name: &str, internal_subset: Option<&str>) {
+        self.doctype_name = Some(name.to_owned());
+        if let Some(s) = internal_subset {
+            self.internal_subset = Some(s.to_owned());
         }
     }
-    Ok(ParsedXml {
-        document: document.expect("EndDocument implies a root element"),
-        doctype_name,
-        internal_subset,
-    })
+
+    fn start_element(
+        &mut self,
+        name: &str,
+        name_id: NameId,
+        attributes: &AttrList<'_>,
+        _self_closing: bool,
+    ) -> TextInterest {
+        let (doc, node) = match (&mut self.document, self.stack.last()) {
+            (Some(doc), Some(&parent)) => {
+                // The reader's dense first-occurrence ids coincide with
+                // the document's name interner by construction, so the
+                // hinted path skips hashing entirely.
+                let node = doc.add_element_hinted(parent, name, name_id.index());
+                (doc, node)
+            }
+            (document, _) => {
+                let doc = document.insert(Document::new(name));
+                let root = doc.root();
+                (doc, root)
+            }
+        };
+        for a in attributes.iter() {
+            doc.set_attribute(node, a.name, a.value);
+        }
+        self.stack.push(node);
+        TextInterest::Collect
+    }
+
+    fn end_element(&mut self, _name: &str, _name_id: NameId) {
+        self.stack.pop();
+    }
+
+    fn text(&mut self, chunk: TextChunk<'_>) {
+        if let (TextChunk::Collect(text), Some(doc), Some(&parent)) =
+            (chunk, &mut self.document, self.stack.last())
+        {
+            doc.add_text(parent, text);
+        }
+    }
 }
 
 /// Parses an XML document, returning only the tree.

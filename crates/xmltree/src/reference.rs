@@ -143,6 +143,12 @@ impl<S: ByteSrc> XmlReader<S> {
     }
 
     fn next_prolog(&mut self) -> Result<XmlEvent, ParseError> {
+        // One leading byte-order mark is allowed (XML 1.0 §4.3.3).
+        if self.offset == 0 && self.starts_with("\u{FEFF}") {
+            for _ in 0..3 {
+                self.bump();
+            }
+        }
         loop {
             self.skip_ws();
             if self.starts_with("<?") {

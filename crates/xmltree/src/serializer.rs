@@ -1,6 +1,6 @@
 //! XML serialization: compact and pretty-printed writers with escaping.
 
-use crate::tree::{Document, NodeId, NodeKind};
+use crate::tree::{Attribute, Document, NodeId, NodeKind};
 
 /// Serializes a document compactly (no inserted whitespace).
 ///
@@ -18,7 +18,7 @@ pub fn to_string(doc: &Document) -> String {
 /// not padded with extra whitespace.
 pub fn to_string_pretty(doc: &Document) -> String {
     let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-    write_node_pretty(&mut out, doc, doc.root(), 0);
+    write_node_pretty(&mut out, doc, doc.root());
     out.push('\n');
     out
 }
@@ -32,23 +32,11 @@ fn write_node(out: &mut String, doc: &Document, node: NodeId) {
     let mut stack = vec![Item::Node(node)];
     while let Some(item) = stack.pop() {
         match item {
-            Item::CloseTag(n) => {
-                out.push_str("</");
-                out.push_str(doc.name(n).expect("close tags are elements"));
-                out.push('>');
-            }
+            Item::CloseTag(n) => write_close_tag(out, doc, n),
             Item::Node(n) => match doc.kind(n) {
                 NodeKind::Text(t) => escape_text(out, t),
                 NodeKind::Element { name, attributes } => {
-                    out.push('<');
-                    out.push_str(name);
-                    for a in attributes {
-                        out.push(' ');
-                        out.push_str(&a.name);
-                        out.push_str("=\"");
-                        escape_attr(out, &a.value);
-                        out.push('"');
-                    }
+                    write_open_tag(out, name, attributes);
                     let children = doc.children(n);
                     if children.is_empty() {
                         out.push_str("/>");
@@ -65,56 +53,80 @@ fn write_node(out: &mut String, doc: &Document, node: NodeId) {
     }
 }
 
-fn write_node_pretty(out: &mut String, doc: &Document, node: NodeId, indent: usize) {
-    match doc.kind(node) {
-        NodeKind::Text(t) => escape_text(out, t),
-        NodeKind::Element { name, attributes } => {
-            for _ in 0..indent {
-                out.push_str("  ");
+/// Iterative pretty writer for the element `node`: each element of
+/// element-only content goes on its own line, indented two spaces per
+/// level; an element with any text child is written compactly on one
+/// line so its text is reproduced exactly.
+fn write_node_pretty(out: &mut String, doc: &Document, node: NodeId) {
+    enum Item {
+        /// An element at an indent level.
+        Element(NodeId, usize),
+        /// The close tag of an element-only element, on its own line.
+        CloseTag(NodeId, usize),
+    }
+    let mut stack = vec![Item::Element(node, 0)];
+    while let Some(item) = stack.pop() {
+        match item {
+            Item::CloseTag(n, indent) => {
+                out.push('\n');
+                push_indent(out, indent);
+                write_close_tag(out, doc, n);
             }
-            out.push('<');
-            out.push_str(name);
-            for a in attributes {
-                out.push(' ');
-                out.push_str(&a.name);
-                out.push_str("=\"");
-                escape_attr(out, &a.value);
-                out.push('"');
-            }
-            let children = doc.children(node);
-            if children.is_empty() {
-                out.push_str("/>");
-                return;
-            }
-            let mixed = children.iter().any(|&c| doc.text(c).is_some());
-            out.push('>');
-            if mixed {
-                // Inline: preserve text exactly.
-                for &c in children {
-                    match doc.kind(c) {
-                        NodeKind::Text(t) => escape_text(out, t),
-                        NodeKind::Element { .. } => {
-                            let mut inner = String::new();
-                            write_node(&mut inner, doc, c);
-                            out.push_str(&inner);
-                        }
+            Item::Element(n, indent) => {
+                let NodeKind::Element { name, attributes } = doc.kind(n) else {
+                    unreachable!("only elements are pretty-printed on their own line");
+                };
+                // Every element below the root starts a line of its own.
+                if indent > 0 {
+                    out.push('\n');
+                }
+                push_indent(out, indent);
+                write_open_tag(out, name, attributes);
+                let children = doc.children(n);
+                if children.is_empty() {
+                    out.push_str("/>");
+                    continue;
+                }
+                out.push('>');
+                if children.iter().any(|&c| doc.text(c).is_some()) {
+                    for &c in children {
+                        write_node(out, doc, c);
+                    }
+                    write_close_tag(out, doc, n);
+                } else {
+                    stack.push(Item::CloseTag(n, indent));
+                    for &c in children.iter().rev() {
+                        stack.push(Item::Element(c, indent + 1));
                     }
                 }
-            } else {
-                for &c in children {
-                    out.push('\n');
-                    write_node_pretty(out, doc, c, indent + 1);
-                }
-                out.push('\n');
-                for _ in 0..indent {
-                    out.push_str("  ");
-                }
             }
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
         }
     }
+}
+
+fn push_indent(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
+    }
+}
+
+/// `<name a="v" …` — the start tag up to, not including, `>` or `/>`.
+fn write_open_tag(out: &mut String, name: &str, attributes: &[Attribute]) {
+    out.push('<');
+    out.push_str(name);
+    for a in attributes {
+        out.push(' ');
+        out.push_str(&a.name);
+        out.push_str("=\"");
+        escape_attr(out, &a.value);
+        out.push('"');
+    }
+}
+
+fn write_close_tag(out: &mut String, doc: &Document, n: NodeId) {
+    out.push_str("</");
+    out.push_str(doc.name(n).expect("close tags are elements"));
+    out.push('>');
 }
 
 fn escape_text(out: &mut String, s: &str) {
@@ -176,6 +188,37 @@ mod tests {
         assert!(s.starts_with("<?xml"));
         assert!(s.contains("\n  <b>\n    <c/>\n  </b>"));
         assert!(s.contains("<d>text</d>"));
+    }
+
+    #[test]
+    fn pretty_print_exact_layout() {
+        let d =
+            parse_document("<a x=\"1\"><b><c/><d y=\"&lt;\"/></b><e>t<f>u</f>v</e><g><h/></g></a>")
+                .unwrap();
+        assert_eq!(
+            to_string_pretty(&d),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
+             <a x=\"1\">\n  <b>\n    <c/>\n    <d y=\"&lt;\"/>\n  </b>\n  \
+             <e>t<f>u</f>v</e>\n  <g>\n    <h/>\n  </g>\n</a>\n"
+        );
+    }
+
+    #[test]
+    fn pretty_print_of_a_deep_chain_needs_no_deep_stack() {
+        // Reproducer: the writer used to recurse once per level and
+        // overflowed a small thread stack on this chain.
+        let mut d = Document::new("a");
+        let mut n = d.root();
+        for _ in 0..2000 {
+            n = d.add_element(n, "a");
+        }
+        let reparsed = std::thread::Builder::new()
+            .stack_size(128 * 1024)
+            .spawn(move || parse_document(&to_string_pretty(&d)).map(|p| p.element_count()))
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(reparsed.unwrap(), 2001);
     }
 
     #[test]

@@ -16,26 +16,30 @@
 //!   still verifies it at runtime);
 //! * [`Engine::Neon`] — 16-byte `vceqq_u8` lanes on aarch64, with the
 //!   `vshrn_n_u16` nibble-mask trick standing in for `movemask`;
-//! * [`Engine::Scalar`] — a table-driven byte loop. Selecting this
-//!   engine on a reader disables the structural index entirely and the
-//!   token layer falls back to the direct SWAR scan path, so the scalar
-//!   fallback exercises genuinely different code (and pins the SIMD
-//!   path via the differential tests).
+//! * [`Engine::Scalar`] — a table-driven byte loop, the portable
+//!   kernel for platforms without SSE2/NEON.
+//!
+//! The engine chooses only the kernel: the reader builds the same index
+//! and runs the same stage 2 under every engine, so forcing scalar
+//! changes throughput, never results. The independent check of stage 2
+//! is the byte-at-a-time [`crate::reference`] lexer, not a second path
+//! here.
 //!
 //! Dispatch is runtime, per reader: [`Engine::detect`] picks the widest
 //! available kernel unless the `BONXAI_NO_SIMD` environment variable
 //! forces scalar; [`crate::stream::XmlReader::set_engine`] overrides it
 //! programmatically.
 
-/// Which structural-index kernel a reader uses. See the module docs.
+/// Which stage-1 kernel builds a reader's structural index. See the
+/// module docs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Engine {
     /// Explicit SSE2 intrinsics (x86-64).
     Sse2,
     /// Explicit NEON intrinsics (aarch64).
     Neon,
-    /// No structural index: the direct SWAR scan path in
-    /// [`crate::stream`].
+    /// The portable table-driven kernel: same index, one byte at a
+    /// time.
     Scalar,
 }
 
@@ -114,6 +118,7 @@ pub(crate) const MASK_GT: u8 = 1 << CLASS_GT;
 pub(crate) const MASK_DQ: u8 = 1 << CLASS_DQ;
 pub(crate) const MASK_SQ: u8 = 1 << CLASS_SQ;
 pub(crate) const MASK_AMP: u8 = 1 << CLASS_AMP;
+pub(crate) const MASK_RB: u8 = 1 << CLASS_RB;
 
 const NONE: u8 = 0xFF;
 
@@ -128,15 +133,6 @@ static CLASS_OF: [u8; 256] = {
     t[b']' as usize] = CLASS_RB;
     t
 };
-
-/// The class mask bit for `b`, if `b` is one of the six structural
-/// bytes. Lets the token layer route an arbitrary delimiter search
-/// through the index when (and only when) the index covers it.
-#[inline]
-pub(crate) fn struct_mask(b: u8) -> Option<u8> {
-    let c = CLASS_OF[b as usize];
-    (c != NONE).then(|| 1 << c)
-}
 
 // ------------------------------------------------------------- kernels
 

@@ -25,17 +25,16 @@
 //!   compaction unchanged. On anything unusual (entity references in
 //!   attribute values, malformed tags, spans reaching past the UTF-8
 //!   watermark, oversized tokens, end of input) the token layer falls
-//!   back to the scalar scan of the same bytes, which keeps errors and
-//!   positions byte-identical by construction;
-//! * the scalar fallback — also selected by [`Engine::Scalar`] via
-//!   [`XmlReader::set_engine`] or the `BONXAI_NO_SIMD` environment
-//!   variable — skips the index entirely: delimiter searches use SWAR
-//!   word-at-a-time scanning ([`mod@self`]-internal `memchr`-style
-//!   helpers), exactly the pre-index code path;
-//! * UTF-8 is validated in bulk per indexed chunk (SIMD engines) or
-//!   once per slice at token boundaries (scalar engine), never per
-//!   character; spans proven valid are materialized without a second
-//!   validation pass;
+//!   back to the byte-wise scan of the same bytes, which keeps errors
+//!   and positions byte-identical by construction;
+//! * the index always runs: [`Engine`] chooses only the stage-1
+//!   classification kernel (SSE2, NEON, or the table-driven scalar
+//!   loop that [`Engine::Scalar`], [`XmlReader::set_engine`] and the
+//!   `BONXAI_NO_SIMD` environment variable select), and every kernel
+//!   produces the same index, so stage 2 is one code path;
+//! * UTF-8 is validated in bulk per indexed chunk, never per character;
+//!   spans proven valid are materialized without a second validation
+//!   pass;
 //! * element names are interned into a dense per-reader pool on first
 //!   occurrence: every start/end token carries a [`NameId`], so a
 //!   streaming validator can map names to schema symbols with one array
@@ -52,10 +51,13 @@
 //!   reader bounds any single token to `XmlReader::max_token` bytes so
 //!   the window cannot grow without limit on adversarial input.
 //!
-//! Character data is coalesced exactly as the tree parser merges text
-//! nodes: one [`XmlToken::Text`] per maximal run of character data, CDATA
+//! Character data is coalesced into one [`XmlToken::Text`] (one
+//! [`EventSink::text`] call) per maximal run of character data, CDATA
 //! sections, and entity expansions, with comments and processing
-//! instructions spliced out. Whitespace-only runs are preserved.
+//! instructions spliced out; the tree parser makes one text node of
+//! each. Whitespace-only runs are preserved. A leading UTF-8 byte-order
+//! mark is skipped (XML 1.0 §4.3.3); positions still count its three
+//! bytes.
 //!
 //! General entities declared in the internal DTD subset are expanded
 //! recursively (nested `&ref;` inside an entity value is resolved), with a
@@ -512,8 +514,13 @@ impl ByteSrc for SliceSrc<'_> {
 /// O(depth) in document size.
 pub struct IoSrc<R: Read> {
     src: R,
+    /// Bytes `[pos, end)` are the window; bytes past `end` are room for
+    /// the next `read`, zeroed once when the buffer grows rather than
+    /// on every refill (a source returning a few bytes per `read` would
+    /// otherwise pay an `IO_CHUNK` fill per call).
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
     eof: bool,
 }
 
@@ -523,8 +530,9 @@ impl<R: Read> IoSrc<R> {
     pub fn new(src: R) -> Self {
         IoSrc {
             src,
-            buf: Vec::with_capacity(IO_CHUNK),
+            buf: Vec::new(),
             pos: 0,
+            end: 0,
             eof: false,
         }
     }
@@ -532,36 +540,29 @@ impl<R: Read> IoSrc<R> {
 
 impl<R: Read> ByteSrc for IoSrc<R> {
     fn window(&mut self, n: usize) -> &[u8] {
-        while self.buf.len() - self.pos < n && !self.eof {
+        while self.end - self.pos < n && !self.eof {
             // Drop the consumed prefix before growing the window — but
             // only once it dominates the buffer. Compacting on every
             // refill would copy the live tail each time a long token
             // forces the window to extend.
-            if self.pos >= COMPACT_THRESHOLD && self.pos >= self.buf.len() / 2 {
-                self.buf.copy_within(self.pos.., 0);
-                self.buf.truncate(self.buf.len() - self.pos);
+            if self.pos >= COMPACT_THRESHOLD && self.pos >= self.end / 2 {
+                self.buf.copy_within(self.pos..self.end, 0);
+                self.end -= self.pos;
                 self.pos = 0;
             }
-            let old = self.buf.len();
-            self.buf.resize(old + IO_CHUNK, 0);
-            match self.src.read(&mut self.buf[old..]) {
-                Ok(0) => {
-                    self.buf.truncate(old);
-                    self.eof = true;
-                }
-                Ok(k) => self.buf.truncate(old + k),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    self.buf.truncate(old);
-                }
-                Err(_) => {
-                    // Surfaced as "unexpected end of input" by the lexer;
-                    // positioned errors beat a panic mid-stream.
-                    self.buf.truncate(old);
-                    self.eof = true;
-                }
+            if self.buf.len() < self.end + IO_CHUNK {
+                self.buf.resize(self.end + IO_CHUNK, 0);
+            }
+            match self.src.read(&mut self.buf[self.end..self.end + IO_CHUNK]) {
+                Ok(0) => self.eof = true,
+                Ok(k) => self.end += k,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                // Surfaced as "unexpected end of input" by the lexer;
+                // positioned errors beat a panic mid-stream.
+                Err(_) => self.eof = true,
             }
         }
-        &self.buf[self.pos..]
+        &self.buf[self.pos..self.end]
     }
 
     #[inline]
@@ -776,8 +777,8 @@ impl NamePool {
 }
 
 /// Materializes a byte span that an earlier UTF-8 check has already
-/// proven valid — `check_utf8` (scalar engine), the chunked window
-/// watermark (`StructIdx::utf8_valid_to`, SIMD engines), or name-pool
+/// proven valid — `check_utf8` (the chunked window watermark,
+/// `StructIdx::utf8_valid_to`, or its direct fallback) or name-pool
 /// interning — without paying a second validation pass.
 #[allow(unsafe_code)]
 #[inline]
@@ -812,6 +813,16 @@ fn parse_end_tag_slice(tag: &[u8], expected: &[u8]) -> bool {
         .all(|&c| matches!(c, b' ' | b'\t' | b'\r' | b'\n'))
 }
 
+/// The index class bit of an attribute-value quote (`"` or `'`).
+#[inline]
+fn quote_mask(quote: u8) -> u8 {
+    if quote == b'"' {
+        simd::MASK_DQ
+    } else {
+        simd::MASK_SQ
+    }
+}
+
 #[inline]
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -823,8 +834,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// SWAR delimiter scanning (no external memchr: the workspace is
-// dependency-free). The has-zero-byte trick: a byte of x is zero iff
+// SWAR byte search for the two delimiters outside the structural index
+// (`-` in comments, `?` in PIs), on the loops that reproduce their
+// errors. No external memchr: the workspace is dependency-free. The
+// has-zero-byte trick: a byte of x is zero iff
 // `(x - 0x01…01) & !x & 0x80…80` has that byte's high bit set.
 // ---------------------------------------------------------------------
 
@@ -853,45 +866,6 @@ pub(crate) fn memchr(a: u8, hay: &[u8]) -> Option<usize> {
         i += 8;
     }
     hay[i..].iter().position(|&b| b == a).map(|k| i + k)
-}
-
-/// First occurrence of `a` or `b` in `hay`.
-#[inline]
-pub(crate) fn memchr2(a: u8, b: u8, hay: &[u8]) -> Option<usize> {
-    let pa = SWAR_LO.wrapping_mul(u64::from(a));
-    let pb = SWAR_LO.wrapping_mul(u64::from(b));
-    let mut i = 0;
-    while i + 8 <= hay.len() {
-        let x = swar_word(&hay[i..i + 8]);
-        if swar_has_zero(x ^ pa) || swar_has_zero(x ^ pb) {
-            break;
-        }
-        i += 8;
-    }
-    hay[i..]
-        .iter()
-        .position(|&c| c == a || c == b)
-        .map(|k| i + k)
-}
-
-/// First occurrence of `a`, `b`, or `c` in `hay`.
-#[inline]
-pub(crate) fn memchr3(a: u8, b: u8, c: u8, hay: &[u8]) -> Option<usize> {
-    let pa = SWAR_LO.wrapping_mul(u64::from(a));
-    let pb = SWAR_LO.wrapping_mul(u64::from(b));
-    let pc = SWAR_LO.wrapping_mul(u64::from(c));
-    let mut i = 0;
-    while i + 8 <= hay.len() {
-        let x = swar_word(&hay[i..i + 8]);
-        if swar_has_zero(x ^ pa) || swar_has_zero(x ^ pb) || swar_has_zero(x ^ pc) {
-            break;
-        }
-        i += 8;
-    }
-    hay[i..]
-        .iter()
-        .position(|&d| d == a || d == b || d == c)
-        .map(|k| i + k)
 }
 
 /// Decoded output of one entity reference (cold path).
@@ -972,9 +946,8 @@ pub struct XmlReader<S> {
     /// DOCTYPE payload backing the borrowed [`XmlToken::Doctype`].
     doctype_name: String,
     doctype_subset: Option<String>,
-    /// The stage-1 structural index; `None` ⇔ [`Engine::Scalar`] (the
-    /// SWAR fallback paths run instead).
-    idx: Option<StructIdx>,
+    /// The stage-1 structural index (built under every [`Engine`]).
+    idx: StructIdx,
     /// Direct-mapped cache of recently scanned attribute-free start
     /// tags, probed by the indexed scan (see [`CachedTag`]).
     tag_cache: [CachedTag; 8],
@@ -1002,7 +975,6 @@ impl<R: Read> XmlReader<IoSrc<R>> {
 impl<S: ByteSrc> XmlReader<S> {
     /// Wraps an arbitrary byte source.
     pub fn with_source(src: S) -> Self {
-        let engine = Engine::detect();
         XmlReader {
             src,
             offset: 0,
@@ -1021,29 +993,28 @@ impl<S: ByteSrc> XmlReader<S> {
             text_scratch: String::new(),
             doctype_name: String::new(),
             doctype_subset: None,
-            idx: (engine != Engine::Scalar).then(|| StructIdx::new(engine)),
+            idx: StructIdx::new(Engine::detect()),
             tag_cache: [CachedTag::EMPTY; 8],
         }
     }
 
-    /// Selects the lexing engine. [`Engine::Scalar`] disables the
-    /// structural index entirely (the forced-scalar escape hatch, also
-    /// reachable via the `BONXAI_NO_SIMD` environment variable);
-    /// requesting an engine this machine lacks falls back to scalar.
-    /// May be called mid-stream: index state is rebuilt from the cursor
-    /// and results never change — only throughput does.
+    /// Selects the stage-1 classification kernel. [`Engine::Scalar`]
+    /// (also reachable via the `BONXAI_NO_SIMD` environment variable)
+    /// is the portable table-driven kernel; requesting an engine this
+    /// machine lacks falls back to it. Every kernel builds the same
+    /// index, so this may be called mid-stream and results never
+    /// change — only throughput does.
     pub fn set_engine(&mut self, engine: Engine) {
-        let engine = if engine.is_available() {
+        self.idx.engine = if engine.is_available() {
             engine
         } else {
             Engine::Scalar
         };
-        self.idx = (engine != Engine::Scalar).then(|| StructIdx::new(engine));
     }
 
     /// The lexing engine in use (see [`Engine::detect`]).
     pub fn engine(&self) -> Engine {
-        self.idx.as_ref().map_or(Engine::Scalar, |i| i.engine)
+        self.idx.engine
     }
 
     /// Sets the cap on the byte length of a single token (tag, text
@@ -1087,30 +1058,13 @@ impl<S: ByteSrc> XmlReader<S> {
     }
 
     /// Advances line/offset accounting over the next `n` visible bytes
-    /// (which must already be buffered).
+    /// (which must already be buffered). Instead of re-scanning the
+    /// consumed bytes for newlines, walks the newline positions stage 1
+    /// already recorded (amortized O(#newlines), not O(bytes)).
     fn register(&mut self, n: usize) {
-        if self.idx.is_some() {
-            self.register_indexed(n);
-            return;
-        }
-        let w = self.src.window(n);
-        let w = &w[..n.min(w.len())];
-        let mut from = 0;
-        while let Some(k) = memchr(b'\n', &w[from..]) {
-            self.line += 1;
-            self.line_start = self.offset + from + k + 1;
-            from += k + 1;
-        }
-        self.offset += n;
-    }
-
-    /// Indexed [`Self::register`]: instead of re-scanning the consumed
-    /// bytes for newlines, walks the newline positions stage 1 already
-    /// recorded (amortized O(#newlines), not O(bytes)).
-    fn register_indexed(&mut self, n: usize) {
         let end = self.offset + n;
         self.index_to_abs(end);
-        let idx = self.idx.as_mut().expect("register_indexed needs the index");
+        let idx = &mut self.idx;
         while let Some(&p) = idx.nls.get(idx.nl_head) {
             let p = p as usize;
             if p >= end {
@@ -1134,10 +1088,8 @@ impl<S: ByteSrc> XmlReader<S> {
     /// is a single comparison; [`Self::index_fill`] does the work.
     #[inline]
     fn index_to_abs(&mut self, target: usize) {
-        match &self.idx {
-            Some(i) if i.indexed_to >= target => {}
-            Some(_) => self.index_fill(target),
-            None => {}
+        if self.idx.indexed_to < target {
+            self.index_fill(target);
         }
     }
 
@@ -1148,7 +1100,6 @@ impl<S: ByteSrc> XmlReader<S> {
     fn index_fill(&mut self, target: usize) {
         let offset = self.offset;
         let XmlReader { src, idx, .. } = self;
-        let Some(idx) = idx.as_mut() else { return };
         if idx.indexed_to < offset {
             // A cold path (DOCTYPE subset) advanced the cursor byte-wise
             // past the indexed region; restart cleanly at the cursor.
@@ -1206,8 +1157,7 @@ impl<S: ByteSrc> XmlReader<S> {
     /// (or end of input) and returns how many bytes it does cover.
     fn index_cover(&mut self, min_rel: usize) -> usize {
         self.index_to_abs(self.offset + min_rel);
-        let offset = self.offset;
-        self.idx.as_ref().map_or(0, |i| i.indexed_to - offset)
+        self.idx.indexed_to - self.offset
     }
 
     /// Consumes `n` bytes immediately (for data not borrowed by the
@@ -1230,46 +1180,27 @@ impl<S: ByteSrc> XmlReader<S> {
     }
 
     /// Position of the byte at relative offset `i` from the cursor
-    /// (clamped to end of input).
+    /// (clamped to end of input): a non-consuming walk of the recorded
+    /// newline positions.
     fn position_at(&mut self, i: usize) -> Position {
-        if self.idx.is_some() {
-            // Non-consuming walk of the recorded newline positions.
-            let covered = self.index_cover(i);
-            let upto = i.min(covered);
-            let end = self.offset + upto;
-            let idx = self.idx.as_ref().expect("position_at needs the index");
-            let mut line = self.line;
-            let mut line_start = self.line_start;
-            for &p in &idx.nls[idx.nl_head..] {
-                let p = p as usize;
-                if p >= end {
-                    break;
-                }
-                if p >= self.offset {
-                    line += 1;
-                    line_start = p + 1;
-                }
-            }
-            return Position {
-                line,
-                column: (end - line_start) as u32 + 1,
-                offset: end,
-            };
-        }
-        let w = self.src.window(i);
-        let upto = i.min(w.len());
+        let covered = self.index_cover(i);
+        let end = self.offset + i.min(covered);
         let mut line = self.line;
         let mut line_start = self.line_start;
-        let mut from = 0;
-        while let Some(k) = memchr(b'\n', &w[from..upto]) {
-            line += 1;
-            line_start = self.offset + from + k + 1;
-            from += k + 1;
+        for &p in &self.idx.nls[self.idx.nl_head..] {
+            let p = p as usize;
+            if p >= end {
+                break;
+            }
+            if p >= self.offset {
+                line += 1;
+                line_start = p + 1;
+            }
         }
         Position {
             line,
-            column: (self.offset + upto - line_start) as u32 + 1,
-            offset: self.offset + upto,
+            column: (end - line_start) as u32 + 1,
+            offset: end,
         }
     }
 
@@ -1297,20 +1228,17 @@ impl<S: ByteSrc> XmlReader<S> {
         w.len() >= end && &w[i..end] == s.as_bytes()
     }
 
-    /// Scans forward from relative offset `from` for the first byte
-    /// `find` locates, growing the window as needed up to `max_token`.
-    fn scan_for(
-        &mut self,
-        from: usize,
-        find: impl Fn(&[u8]) -> Option<usize>,
-    ) -> Result<Scan, ParseError> {
+    /// Scans forward from relative offset `from` for the first byte `a`
+    /// (one the index does not mark), growing the window as needed up
+    /// to `max_token`.
+    fn scan_for(&mut self, from: usize, a: u8) -> Result<Scan, ParseError> {
         let mut i = from;
         loop {
             let w = self.src.window(i + 1);
             if w.len() <= i {
                 return Ok(Scan::Eof(w.len()));
             }
-            if let Some(k) = find(&w[i..]) {
+            if let Some(k) = memchr(a, &w[i..]) {
                 if i + k > self.max_token {
                     return Err(self.err_too_large());
                 }
@@ -1323,40 +1251,10 @@ impl<S: ByteSrc> XmlReader<S> {
         }
     }
 
-    fn find_byte(&mut self, from: usize, a: u8) -> Result<Scan, ParseError> {
-        if self.idx.is_some() {
-            if let Some(m) = simd::struct_mask(a) {
-                return self.idx_find(from, m);
-            }
-        }
-        self.scan_for(from, |h| memchr(a, h))
-    }
-
-    fn find2(&mut self, from: usize, a: u8, b: u8) -> Result<Scan, ParseError> {
-        if self.idx.is_some() {
-            if let (Some(ma), Some(mb)) = (simd::struct_mask(a), simd::struct_mask(b)) {
-                return self.idx_find(from, ma | mb);
-            }
-        }
-        self.scan_for(from, |h| memchr2(a, b, h))
-    }
-
-    fn find3(&mut self, from: usize, a: u8, b: u8, c: u8) -> Result<Scan, ParseError> {
-        if self.idx.is_some() {
-            if let (Some(ma), Some(mb), Some(mc)) = (
-                simd::struct_mask(a),
-                simd::struct_mask(b),
-                simd::struct_mask(c),
-            ) {
-                return self.idx_find(from, ma | mb | mc);
-            }
-        }
-        self.scan_for(from, |h| memchr3(a, b, c, h))
-    }
-
-    /// Index-walking twin of [`Self::scan_for`] for structural-byte
-    /// searches, with identical end-of-input and `max_token` semantics
-    /// (and therefore identical errors).
+    /// Index-walking twin of [`Self::scan_for`]: the first structural
+    /// byte whose class bit is set in `mask`, with identical
+    /// end-of-input and `max_token` semantics (and therefore identical
+    /// errors).
     fn idx_find(&mut self, from: usize, mask: u8) -> Result<Scan, ParseError> {
         let mut probe = from;
         loop {
@@ -1365,8 +1263,7 @@ impl<S: ByteSrc> XmlReader<S> {
                 return Ok(Scan::Eof(covered));
             }
             let offset = self.offset;
-            let idx = self.idx.as_ref().expect("idx_find needs the index");
-            if let Some((pos, _)) = idx.find_in(offset + probe, offset + covered, mask) {
+            if let Some((pos, _)) = self.idx.find_in(offset + probe, offset + covered, mask) {
                 let k = pos - offset;
                 if k > self.max_token {
                     return Err(self.err_too_large());
@@ -1392,8 +1289,7 @@ impl<S: ByteSrc> XmlReader<S> {
                 return None;
             }
             let offset = self.offset;
-            let idx = self.idx.as_ref().expect("next_mark needs the index");
-            if let Some((pos, class)) = idx.find_in(offset + probe, offset + covered, mask) {
+            if let Some((pos, class)) = self.idx.find_in(offset + probe, offset + covered, mask) {
                 let rel = pos - offset;
                 return (rel <= self.max_token).then_some((rel, class));
             }
@@ -1447,28 +1343,26 @@ impl<S: ByteSrc> XmlReader<S> {
         }
     }
 
-    /// Validates that the visible bytes `[a, b)` are UTF-8. In indexed
-    /// mode the common case is a watermark comparison — the bytes were
-    /// validated in bulk when their chunk was classified.
+    /// Validates that the visible bytes `[a, b)` are UTF-8. The common
+    /// case is a watermark comparison — the bytes were validated in bulk
+    /// when their chunk was classified.
     fn check_utf8(&mut self, a: usize, b: usize, what: &str) -> Result<(), ParseError> {
-        if self.idx.is_some() {
-            self.index_to_abs(self.offset + b);
-            let idx = self.idx.as_ref().expect("check_utf8 needs the index");
-            if self.offset + b <= idx.utf8_valid_to {
-                return Ok(());
-            }
-            let frozen = idx
-                .utf8_bad
-                .filter(|bad| (self.offset + a..self.offset + b).contains(bad));
-            if let Some(bad) = frozen {
-                // Same byte the scalar scan would blame: valid_up_to of
-                // a scan starting at `a` is exactly `bad - offset - a`.
-                let at = bad - self.offset;
-                return Err(self.err_at(at, what.to_owned()));
-            }
-            // Rare: the span reaches past the watermark (truncated char
-            // at end of input) — fall through to the direct check.
+        self.index_to_abs(self.offset + b);
+        if self.offset + b <= self.idx.utf8_valid_to {
+            return Ok(());
         }
+        let frozen = self
+            .idx
+            .utf8_bad
+            .filter(|bad| (self.offset + a..self.offset + b).contains(bad));
+        if let Some(bad) = frozen {
+            // Same byte the direct check would blame: valid_up_to of a
+            // scan starting at `a` is exactly `bad - offset - a`.
+            let at = bad - self.offset;
+            return Err(self.err_at(at, what.to_owned()));
+        }
+        // Rare: the span reaches past the watermark (truncated char at
+        // end of input) — the direct check below.
         let bad = {
             let w = self.src.window(b);
             match std::str::from_utf8(&w[a..b]) {
@@ -1523,19 +1417,18 @@ impl<S: ByteSrc> XmlReader<S> {
     /// document — the flattened counterpart of pulling [`Self::next_event`]
     /// in a loop.
     ///
-    /// With the structural index active, the common content-stage cycle
-    /// (start tag / end tag / plain text / comment / PI) is stepped
-    /// directly off the `StructIdx` marks: no [`XmlToken`] is built, no
-    /// `Position` is computed, end-tag names stay as [`NameId`]s, and
-    /// text is materialized only to the degree the sink's
-    /// [`TextInterest`] requires. Anything irregular — entities, CDATA
-    /// (which coalesces with neighboring text), prolog/epilog tokens,
-    /// oversized or malformed constructs, end of input — falls back to
-    /// the token pull for exactly one event, which reproduces the
-    /// scalar-visible behavior (and every error, at its exact position)
-    /// by construction. Under [`Engine::Scalar`] the fused path is
-    /// disabled and the drive is a plain token loop, so the differential
-    /// suites pin both shapes.
+    /// The common content-stage cycle (start tag / end tag / plain text
+    /// / comment / PI) is stepped directly off the `StructIdx` marks:
+    /// no [`XmlToken`] is built, no `Position` is computed, end-tag
+    /// names stay as [`NameId`]s, and text is materialized only to the
+    /// degree the sink's [`TextInterest`] requires. Anything irregular —
+    /// entities, CDATA (which coalesces with neighboring text),
+    /// prolog/epilog tokens, oversized or malformed constructs, end of
+    /// input — falls back to the token pull for exactly one event, which
+    /// reproduces the token path's behavior (and every error, at its
+    /// exact position) by construction. This is the one fold of tokens
+    /// into events: the tree parser ([`crate::parse_from_reader`]) and
+    /// the streaming validators are both sinks of this loop.
     pub fn drive<K: EventSink>(&mut self, sink: &mut K) -> Result<(), ParseError> {
         // The sink's declared text interest per open element. The fused
         // and token paths push/pop it identically, so a mid-document
@@ -1548,18 +1441,11 @@ impl<S: ByteSrc> XmlReader<S> {
             // pulled below instead.
             if self.stage == Stage::Content
                 && self.pending_end.is_none()
-                && self.idx.is_some()
                 && self.drive_content(sink, &mut interests)?
             {
                 continue;
             }
-            let tok = match self.stage {
-                Stage::Prolog => self.next_prolog()?,
-                Stage::Content => self.next_content()?,
-                Stage::Epilog => self.next_epilog()?,
-                Stage::Done => XmlToken::EndDocument,
-            };
-            match tok {
+            match self.next_event()? {
                 XmlToken::Doctype {
                     name,
                     internal_subset,
@@ -1763,6 +1649,10 @@ impl<S: ByteSrc> XmlReader<S> {
     }
 
     fn next_prolog(&mut self) -> Result<XmlToken<'_>, ParseError> {
+        // One leading byte-order mark is allowed (XML 1.0 §4.3.3).
+        if self.offset == 0 && self.starts_with_at(0, "\u{FEFF}") {
+            self.consume_now(3);
+        }
         loop {
             self.skip_ws()?;
             if self.starts_with_at(0, "<?") {
@@ -1867,12 +1757,12 @@ impl<S: ByteSrc> XmlReader<S> {
 
     // -- text --------------------------------------------------------
 
-    /// Fast path for a character-data run: one SWAR scan to the next
+    /// Fast path for a character-data run: one mark lookup to the next
     /// `<`/`&`; if the run ends at a real tag, the token borrows the
     /// source window directly — zero copies, one UTF-8 validation.
     fn read_text(&mut self) -> Result<XmlToken<'_>, ParseError> {
         let position = self.position();
-        match self.find2(0, b'<', b'&')? {
+        match self.idx_find(0, simd::MASK_LT | simd::MASK_AMP)? {
             Scan::Eof(e) => Err(self.err_eof_in_content(e)),
             Scan::Hit(k) => {
                 debug_assert!(k > 0, "caller dispatches '<'/'&' elsewhere");
@@ -1953,7 +1843,7 @@ impl<S: ByteSrc> XmlReader<S> {
                     if self.text_scratch.is_empty() {
                         position = self.position();
                     }
-                    let end = match self.find2(0, b'<', b'&')? {
+                    let end = match self.idx_find(0, simd::MASK_LT | simd::MASK_AMP)? {
                         Scan::Hit(k) => k,
                         Scan::Eof(e) => e,
                     };
@@ -1972,7 +1862,7 @@ impl<S: ByteSrc> XmlReader<S> {
     fn read_cdata(&mut self) -> Result<(), ParseError> {
         let mut i = 9; // past "<![CDATA["
         loop {
-            match self.find_byte(i, b']')? {
+            match self.idx_find(i, simd::MASK_RB)? {
                 Scan::Eof(e) => return Err(self.err_at(e, "unterminated CDATA section")),
                 Scan::Hit(k) => {
                     if self.starts_with_at(k, "]]>") {
@@ -1991,11 +1881,10 @@ impl<S: ByteSrc> XmlReader<S> {
     /// index's `>` marks instead of scanning every body byte. The first
     /// `>` mark preceded by the suffix is the first occurrence of the
     /// terminator, so this finds exactly what the scalar loop finds.
-    /// `None` (no index, end of input, or an oversized construct) sends
-    /// the caller back to the scalar loop, which reproduces the exact
-    /// scalar error at its exact position.
+    /// `None` (end of input, or an oversized construct) sends the
+    /// caller back to the byte loop, which reproduces the exact error
+    /// at its exact position.
     fn find_gt_ending(&mut self, min_start: usize, suffix: &[u8]) -> Option<usize> {
-        self.idx.as_ref()?;
         let mut i = min_start + suffix.len();
         loop {
             let (k, _) = self.next_mark(i, simd::MASK_GT)?;
@@ -2014,7 +1903,7 @@ impl<S: ByteSrc> XmlReader<S> {
         }
         let mut i = 4; // past "<!--"
         loop {
-            match self.find_byte(i, b'-')? {
+            match self.scan_for(i, b'-')? {
                 Scan::Eof(e) => return Err(self.err_at(e, "unterminated comment")),
                 Scan::Hit(k) => {
                     if self.starts_with_at(k, "-->") {
@@ -2034,7 +1923,7 @@ impl<S: ByteSrc> XmlReader<S> {
         }
         let mut i = 2; // past "<?"
         loop {
-            match self.find_byte(i, b'?')? {
+            match self.scan_for(i, b'?')? {
                 Scan::Eof(e) => return Err(self.err_at(e, "unterminated processing instruction")),
                 Scan::Hit(k) => {
                     if self.starts_with_at(k, "?>") {
@@ -2054,20 +1943,15 @@ impl<S: ByteSrc> XmlReader<S> {
     /// attribute name/value spans recorded, and only then is the tag
     /// length deferred-consumed so the returned slices stay put.
     ///
-    /// Indexed mode first tries [`Self::scan_start_tag_indexed`]: resolve
-    /// the tag extent from the structural marks, then parse the complete
+    /// [`Self::scan_start_tag_indexed`] goes first: resolve the tag
+    /// extent from the structural marks, then parse the complete
     /// materialized slice in one tight pass. Any irregularity bails to
-    /// the scalar scan of the same bytes, which reproduces the exact
-    /// scalar error.
+    /// the byte-wise scan of the same bytes, which reproduces the exact
+    /// error.
     fn read_start_tag(&mut self) -> Result<XmlToken<'_>, ParseError> {
         let position = self.position();
         debug_assert_eq!(self.at(0), Some(b'<'));
-        let fast = if self.idx.is_some() {
-            self.scan_start_tag_indexed()
-        } else {
-            None
-        };
-        let (tag_len, name_id, self_closing) = match fast {
+        let (tag_len, name_id, self_closing) = match self.scan_start_tag_indexed() {
             Some(t) => t,
             None => self.scan_start_tag_scalar()?,
         };
@@ -2189,7 +2073,7 @@ impl<S: ByteSrc> XmlReader<S> {
                             _ => return None,
                         }
                     };
-                    if self.offset + tag_len > self.idx.as_ref()?.utf8_valid_to {
+                    if self.offset + tag_len > self.idx.utf8_valid_to {
                         return None;
                     }
                     let XmlReader {
@@ -2303,7 +2187,7 @@ impl<S: ByteSrc> XmlReader<S> {
         let mut scratch_from: Option<u32> = None;
         let mut seg_start = i;
         let (val, end) = loop {
-            match self.find3(i, quote, b'&', b'<')? {
+            match self.idx_find(i, quote_mask(quote) | simd::MASK_AMP | simd::MASK_LT)? {
                 Scan::Eof(e) => return Err(self.err_at(e, "unterminated attribute value")),
                 Scan::Hit(k) => {
                     let found = self.at(k).expect("hit is in bounds");
@@ -2369,12 +2253,7 @@ impl<S: ByteSrc> XmlReader<S> {
         let position = self.position();
         debug_assert!(self.starts_with_at(0, "</"));
         let expected = *self.open.last().expect("content stage has an open element");
-        let fast = if self.idx.is_some() {
-            self.scan_end_tag_indexed(expected)
-        } else {
-            None
-        };
-        let tag_len = match fast {
+        let tag_len = match self.scan_end_tag_indexed(expected) {
             Some(len) => len,
             None => self.scan_end_tag_scalar(expected)?,
         };
@@ -2431,7 +2310,7 @@ impl<S: ByteSrc> XmlReader<S> {
     fn scan_end_tag_indexed(&mut self, expected: NameId) -> Option<usize> {
         let extent = self.tag_extent(2)?;
         let tag_len = extent + 1;
-        if self.offset + tag_len > self.idx.as_ref()?.utf8_valid_to {
+        if self.offset + tag_len > self.idx.utf8_valid_to {
             return None;
         }
         let XmlReader { src, names, .. } = self;
@@ -2588,7 +2467,8 @@ impl<S: ByteSrc> XmlReader<S> {
                     }
                 }
                 Some(_) => {
-                    let end = match self.find3(0, quote, b'&', b'<')? {
+                    let stop = quote_mask(quote) | simd::MASK_AMP | simd::MASK_LT;
+                    let end = match self.idx_find(0, stop)? {
                         Scan::Hit(k) => k,
                         Scan::Eof(e) => e,
                     };
@@ -3105,25 +2985,12 @@ mod tests {
                 needle as char
             );
         }
-        assert_eq!(
-            memchr2(b'&', b'<', hay),
-            hay.iter().position(|&b| b == b'&' || b == b'<')
-        );
-        assert_eq!(
-            memchr3(b'"', b'&', b'<', hay),
-            hay.iter()
-                .position(|&b| b == b'"' || b == b'&' || b == b'<')
-        );
         assert_eq!(memchr(b'!', hay), None);
-        assert_eq!(memchr2(b'!', b'@', hay), None);
-        assert_eq!(memchr3(b'!', b'@', b'#', hay), None);
         // All offsets within the SWAR word and in the tail.
         for i in 0..24 {
             let mut v = vec![b'.'; 24];
             v[i] = b'<';
             assert_eq!(memchr(b'<', &v), Some(i), "offset {i}");
-            assert_eq!(memchr2(b'<', b'&', &v), Some(i));
-            assert_eq!(memchr3(b'<', b'&', b'"', &v), Some(i));
         }
     }
 

@@ -3,10 +3,10 @@
 # crate plus the perfbench harness's own tests, a warning-free
 # clippy pass over every target in the workspace (vendor stand-ins
 # included), canonical formatting, warning-free rustdoc, the reader
-# differential suite under both lexer engines (detected SIMD and
-# forced scalar), a parse-only
+# differential suite under both stage-1 lexer kernels (detected SIMD
+# and forced scalar), a parse-only
 # front-end microbench as a smoke check that the zero-copy reader
-# still runs under both engines, every example program, and the
+# still runs under both kernels, every example program, and the
 # lint-corpus and diff-corpus golden checks (every seeded-defect
 # fixture and schema pair must produce exactly its checked-in JSON
 # report — codes, spans, witnesses, verdicts).
@@ -22,9 +22,10 @@ cargo fmt --all --check
 # Rustdoc: every intra-doc link must resolve (and none may point at a
 # private item), so docs naming deleted code cannot land.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-# Reader differential suite twice: once with the detected SIMD lexer
-# engine, once with the structural-index pass disabled, so the scalar
-# fallback path stays exercised on hardware where SIMD is available.
+# Reader differential suite twice: once with the detected SIMD kernel
+# building the structural index, once with the portable scalar kernel
+# building it, so the kernel that platforms without SSE2/NEON run stays
+# exercised on hardware where SIMD is available.
 cargo test -q -p bonxai --test reader_differential
 BONXAI_NO_SIMD=1 cargo test -q -p bonxai --test reader_differential
 cargo run --release -p bonxai-bench --bin exp_validation -- --parse-only
@@ -39,9 +40,9 @@ done
 # and all four fast paths under every lexer engine and byte source,
 # then a bounded fixed-seed fuzz smoke over the validation stack and
 # the DTD parser. Any divergence or panic fails the gate. Run twice:
-# once with the detected engine and once with the structural index
-# force-disabled, so a fused-path bug cannot hide behind an engine the
-# CI host happens to lack (and vice versa).
+# once with the detected kernel and once with the scalar kernel forced
+# (same index, same stage 2), so a classification bug cannot hide
+# behind a kernel the CI host happens to lack (and vice versa).
 target/release/bonxai conform data/conformance --fuzz 1000 --seed 0 > /dev/null \
   || { echo "conformance/fuzz divergence — run: bonxai conform data/conformance --fuzz 1000 --seed 0" >&2; exit 1; }
 BONXAI_NO_SIMD=1 target/release/bonxai conform data/conformance > /dev/null \

@@ -11,12 +11,18 @@
 //! every token shape gets split across refill boundaries somewhere in
 //! the run.
 //!
-//! Every case additionally runs under **both lexing engines** — the
-//! detected SIMD engine (structural index) and the forced-scalar SWAR
-//! fallback — and must produce identical events and identical rendered
-//! errors; dedicated cases pin the window-boundary invariants (structural
-//! characters straddling compaction shifts, multi-byte UTF-8 split
-//! across refills, invalid UTF-8 blamed at the same byte).
+//! Every case additionally runs under **both stage-1 kernels** — the
+//! detected SIMD engine and the forced-scalar table kernel, which build
+//! the same structural index — and must produce identical events and
+//! identical rendered errors; dedicated cases pin the window-boundary
+//! invariants (structural characters straddling compaction shifts,
+//! multi-byte UTF-8 split across refills, invalid UTF-8 blamed at the
+//! same byte).
+//!
+//! The fused push loop (`XmlReader::drive`, which the tree parser and
+//! the streaming validators run on) is pinned the same way: a recording
+//! sink that collects every text run must see the reference's events
+//! with positions stripped, or fail with the reference's exact error.
 
 use std::fmt::Write as _;
 use std::io::Read;
@@ -24,8 +30,11 @@ use std::io::Read;
 use proptest::prelude::*;
 
 use bonxai::xmltree::reference;
-use bonxai::xmltree::stream::{ByteSrc, IoSrc, XmlEvent, XmlReader};
-use bonxai::xmltree::Engine;
+use bonxai::xmltree::stream::{
+    AttrList, ByteSrc, EventSink, IoSrc, NameId, TextChunk, TextInterest, XmlEvent, XmlReader,
+};
+use bonxai::xmltree::tree::Attribute;
+use bonxai::xmltree::{Engine, Position};
 
 // ---------------------------------------------------------------- generator
 
@@ -266,6 +275,83 @@ fn collect_new<S: ByteSrc>(mut r: XmlReader<S>) -> Result<Vec<XmlEvent>, String>
     }
 }
 
+/// Records the events [`XmlReader::drive`] pushes, as position-free
+/// [`XmlEvent`]s, asking for every text run in full.
+#[derive(Default)]
+struct Recorder(Vec<XmlEvent>);
+
+impl EventSink for Recorder {
+    fn doctype(&mut self, name: &str, internal_subset: Option<&str>) {
+        self.0.push(XmlEvent::Doctype {
+            name: name.to_owned(),
+            internal_subset: internal_subset.map(str::to_owned),
+        });
+    }
+
+    fn start_element(
+        &mut self,
+        name: &str,
+        _name_id: NameId,
+        attributes: &AttrList<'_>,
+        self_closing: bool,
+    ) -> TextInterest {
+        self.0.push(XmlEvent::StartElement {
+            name: name.to_owned(),
+            attributes: attributes
+                .iter()
+                .map(|a| Attribute {
+                    name: a.name.to_owned(),
+                    value: a.value.to_owned(),
+                })
+                .collect(),
+            self_closing,
+            position: Position::default(),
+        });
+        TextInterest::Collect
+    }
+
+    fn end_element(&mut self, name: &str, _name_id: NameId) {
+        self.0.push(XmlEvent::EndElement {
+            name: name.to_owned(),
+            position: Position::default(),
+        });
+    }
+
+    fn text(&mut self, chunk: TextChunk<'_>) {
+        let TextChunk::Collect(text) = chunk else {
+            panic!("every element asked for its text, got {chunk:?}");
+        };
+        self.0.push(XmlEvent::Text {
+            text: text.to_owned(),
+            position: Position::default(),
+        });
+    }
+}
+
+fn collect_driven<S: ByteSrc>(mut r: XmlReader<S>) -> Result<Vec<XmlEvent>, String> {
+    let mut sink = Recorder::default();
+    r.drive(&mut sink).map_err(|e| e.to_string())?;
+    sink.0.push(XmlEvent::EndDocument);
+    Ok(sink.0)
+}
+
+/// `events` with every position zeroed, as [`Recorder`] records them.
+fn without_positions(events: &[XmlEvent]) -> Vec<XmlEvent> {
+    events
+        .iter()
+        .cloned()
+        .map(|mut e| {
+            if let XmlEvent::StartElement { position, .. }
+            | XmlEvent::EndElement { position, .. }
+            | XmlEvent::Text { position, .. } = &mut e
+            {
+                *position = Position::default();
+            }
+            e
+        })
+        .collect()
+}
+
 fn collect_reference(input: &str) -> Result<Vec<XmlEvent>, String> {
     let mut r = reference::XmlReader::from_str(input);
     let mut out = Vec::new();
@@ -316,13 +402,32 @@ fn with_engine<S: ByteSrc>(mut r: XmlReader<S>, engine: Engine) -> XmlReader<S> 
 }
 
 /// All readers over the same text — slice and dribbled-io sources, under
-/// the detected SIMD engine and the forced-scalar fallback, against the
-/// byte-at-a-time reference: identical events (positions included) when
-/// all succeed, identical rendered errors when all fail, and never one
+/// the detected SIMD engine and the forced-scalar kernel, pulled and
+/// driven, against the byte-at-a-time reference: identical events
+/// (positions included when pulled, stripped when driven) when all
+/// succeed, identical rendered errors when all fail, and never one
 /// succeeding where another fails.
 fn assert_agreement(input: &str) {
     let reference = collect_reference(input);
+    let reference_driven = reference
+        .as_deref()
+        .map(without_positions)
+        .map_err(String::clone);
     for engine in [Engine::detect(), Engine::Scalar] {
+        for (source, driven) in [
+            (
+                "slice",
+                collect_driven(with_engine(XmlReader::from_str(input), engine)),
+            ),
+            ("io", collect_driven(with_engine(dribble(input), engine))),
+        ] {
+            assert_eq!(
+                driven,
+                reference_driven,
+                "drive ({source} source, {} engine) disagrees with the reference on {input:?}",
+                engine.name()
+            );
+        }
         let new_slice = collect_new(with_engine(XmlReader::from_str(input), engine));
         let new_io = collect_new(with_engine(dribble(input), engine));
         assert_eq!(
@@ -499,5 +604,54 @@ fn invalid_utf8_error_parity_across_engines() {
             "engines disagree on {:?}",
             String::from_utf8_lossy(case)
         );
+    }
+}
+
+/// A leading UTF-8 byte-order mark is skipped (XML 1.0 §4.3.3) by every
+/// reader alike, positions still counting its three bytes. The dribbled
+/// io source's first `read` returns one byte, so there the mark arrives
+/// split across refills. Only one mark, and only at offset 0: a second
+/// one, or one after leading whitespace, is "expected root element".
+#[test]
+fn leading_byte_order_mark_is_skipped() {
+    let accepted = [
+        "\u{FEFF}<a/>",
+        "\u{FEFF}<?xml version=\"1.0\"?>\n<a x='1'>t&amp;u</a>",
+        "\u{FEFF}<!DOCTYPE a [<!ENTITY e \"v\">]><a>&e;</a>",
+        "\u{FEFF}\n<a>\n<b/></a>",
+        "<a>\u{FEFF}</a>",
+    ];
+    for input in accepted {
+        assert!(collect_reference(input).is_ok(), "{input:?} must parse");
+        assert_agreement(input);
+    }
+    let rejected = [
+        "\u{FEFF}\u{FEFF}<a/>",
+        " \u{FEFF}<a/>",
+        "<a/>\u{FEFF}",
+        "\u{FEFF}",
+        "\u{FEFF}<a>",
+        "\u{FEFF}<a></b>",
+    ];
+    for input in rejected {
+        assert!(
+            collect_reference(input).is_err(),
+            "{input:?} must not parse"
+        );
+        assert_agreement(input);
+    }
+    let err = collect_reference("\u{FEFF}\u{FEFF}<a/>").unwrap_err();
+    assert_eq!(err, "1:4: expected root element");
+    // A truncated mark (not valid UTF-8, so no `&str` can carry it) is
+    // not a mark: every reader expects the root at its first byte.
+    let truncated: &[u8] = b"\xEF\xBB<a/>";
+    let expected = "1:1: expected root element";
+    let mut r = reference::XmlReader::from_reader(truncated);
+    assert_eq!(r.next_event().unwrap_err().to_string(), expected);
+    for engine in [Engine::detect(), Engine::Scalar] {
+        let pulled = collect_new(with_engine(XmlReader::from_reader(truncated), engine));
+        let driven = collect_driven(with_engine(XmlReader::from_reader(truncated), engine));
+        assert_eq!(pulled.unwrap_err(), expected);
+        assert_eq!(driven.unwrap_err(), expected);
     }
 }
